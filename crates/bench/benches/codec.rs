@@ -1,14 +1,13 @@
 //! Criterion microbenchmarks of the `workload::codec` byte codecs.
 //!
-//! Every request a served deployment processes passes through
-//! [`TxnRequest`]'s encoder and decoder, and every wire-level 2PC branch
-//! additionally through [`TxnBranch`]'s — so a regression here taxes the
-//! whole serving stack. These benches pin the encode and decode costs of
+//! Micro batches travel in [`TxnRequest`]'s compact byte form, and every
+//! wire-level 2PC branch through [`PlanBranch`]'s (a batch's branch is its
+//! plan lowering) — so a regression here taxes the whole serving stack. These benches pin the encode and decode costs of
 //! both frame bodies (plus a full round trip) so `cargo bench` surfaces
 //! codec regressions directly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use islands_workload::{OpKind, TxnBranch, TxnRequest};
+use islands_workload::{OpKind, PlanBranch, PlanRequest, TxnRequest};
 
 fn request(keys: usize) -> TxnRequest {
     TxnRequest {
@@ -18,10 +17,10 @@ fn request(keys: usize) -> TxnRequest {
     }
 }
 
-fn branch(keys: usize) -> TxnBranch {
-    TxnBranch {
+fn branch(keys: usize) -> PlanBranch {
+    PlanBranch {
         gtid: 0xDEAD_BEEF,
-        req: request(keys),
+        plan: PlanRequest::from(&request(keys)),
     }
 }
 
@@ -57,7 +56,7 @@ fn bench_branch_round_trip(c: &mut Criterion) {
         b.iter(|| {
             buf.clear();
             br.encode_into(&mut buf);
-            std::hint::black_box(TxnBranch::decode_from(&buf).unwrap())
+            std::hint::black_box(PlanBranch::decode_from(&buf).unwrap())
         })
     });
 }

@@ -37,7 +37,7 @@ use islands_server::deploy::{
     self, DeployConfig, DeployReply, Deployment, FaultPlan, FaultPoint, SpawnMode, Transport,
 };
 use islands_server::{Client, DeployClient, Request};
-use islands_workload::{OpKind, TxnBranch, TxnRequest};
+use islands_workload::{OpKind, PlanBranch, PlanRequest, TxnRequest};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -333,9 +333,9 @@ fn run(args: &Args) -> Result<DrillReport, String> {
     let mut zombie =
         Client::connect(&deploy.endpoint(victim)).map_err(|e| format!("zombie: {e}"))?;
     zombie
-        .send_request(&Request::Prepare(TxnBranch {
+        .send_request(&Request::PreparePlan(PlanBranch {
             gtid: ZOMBIE_GTID,
-            req: update(vec![zombie_key]),
+            plan: PlanRequest::from(&update(vec![zombie_key])),
         }))
         .map_err(|e| format!("zombie prepare: {e}"))?;
     match zombie

@@ -6,7 +6,7 @@
 //!   OS processes, one per shared-nothing instance, each pinned to its
 //!   island's cores, with single-site requests routed to the owner and
 //!   multisite requests running presumed-abort 2PC **over the wire**
-//!   (`Prepare`/`Vote`/`Decision`/`Ack` frames). One invocation stands the
+//!   (`PreparePlan`/`Vote`/`Decision`/`Ack` frames). One invocation stands the
 //!   deployment up, drives it, tears it down, and verifies no process
 //!   leaked an in-doubt transaction.
 //! * `--deploy inproc`: one server process fronting an in-process

@@ -7,14 +7,17 @@
 //! one process per partition; each process serves its engine over the wire:
 //!
 //! * **Local transactions** (all keys inside the range) commit entirely here
-//!   via [`submit_local`](PartitionEngine::submit_local), retrying contention
-//!   aborts like [`NativeCluster::submit`](super::NativeCluster::submit).
-//! * **Distributed branches** arrive as 2PC `Prepare` frames: the engine
-//!   executes the branch's operations and runs participant-side phase 1
-//!   ([`prepare_branch`](PartitionEngine::prepare_branch)), handing the
-//!   prepared [`TxnHandle`] back to the session, which holds it in-doubt
+//!   via [`submit_plan_local`](PartitionEngine::submit_plan_local), retrying
+//!   contention aborts like [`NativeCluster::submit`](super::NativeCluster::submit).
+//! * **Distributed branches** arrive as 2PC `PreparePlan` frames: the engine
+//!   executes the branch's steps and runs participant-side phase 1
+//!   ([`prepare_plan_branch`](PartitionEngine::prepare_plan_branch)), handing
+//!   the prepared [`TxnHandle`] back to the session, which holds it in-doubt
 //!   until the coordinator's decision (or presumes abort on connection
 //!   loss).
+//!
+//! Plans are the only shape the engine executes: a micro batch
+//! ([`TxnRequest`]) is lowered to its [`PlanRequest`] first.
 //!
 //! Keys stay **global**: the engine checks range membership instead of
 //! translating, so a request routed to the wrong process is a typed error,
@@ -30,7 +33,7 @@ use islands_storage::store::MemStore;
 use islands_storage::wal::{FileLogDevice, LogDevice, MemLogDevice};
 use islands_storage::{InstanceOptions, StorageError, StorageInstance, TxnHandle};
 use islands_workload::plan::{PlanRequest, PlanStep, StepOp};
-use islands_workload::{tpcc, OpKind, TxnRequest};
+use islands_workload::{tpcc, TxnRequest};
 
 use super::{SubmitOutcome, MICRO_TABLE_NAME};
 
@@ -113,7 +116,7 @@ pub enum BranchOutcome {
 struct RecoveredBranch {
     branch: InDoubt,
     /// Footprint in plan-table-id space, comparable against
-    /// [`PlanRequest::conflict_keys`] and micro keys.
+    /// [`PlanRequest::touches`].
     keys: Vec<(u32, u64)>,
     parked_at: Instant,
 }
@@ -284,29 +287,12 @@ impl PartitionEngine {
         gtids
     }
 
-    /// Whether any parked recovered branch's footprint intersects `keys`
-    /// (plan-table-id space).
-    pub fn recovered_conflict(&self, keys: &[(u32, u64)]) -> bool {
+    /// Whether any parked recovered branch's footprint intersects `plan`'s
+    /// rows. Nothing is allocated, and an empty parked set answers at once.
+    fn recovered_conflict(&self, plan: &PlanRequest) -> bool {
         let map = self.recovered_map();
-        if map.is_empty() {
-            return false;
-        }
         map.values()
-            .any(|rb| rb.keys.iter().any(|k| keys.contains(k)))
-    }
-
-    /// [`recovered_conflict`](Self::recovered_conflict) for micro-table
-    /// requests, whose keys are bare row ids.
-    pub fn recovered_conflict_micro(&self, keys: &[u64]) -> bool {
-        let map = self.recovered_map();
-        if map.is_empty() {
-            return false;
-        }
-        map.values().any(|rb| {
-            rb.keys
-                .iter()
-                .any(|&(t, k)| t == islands_workload::plan::MICRO_TABLE && keys.contains(&k))
-        })
+            .any(|rb| rb.keys.iter().any(|&(t, k)| plan.touches(t, k)))
     }
 
     /// Apply the coordinator's decision to a branch parked by restart
@@ -351,118 +337,24 @@ impl PartitionEngine {
         self.inst.set_lockcheck_scope(scope);
     }
 
-    pub(crate) fn check_keys(&self, req: &TxnRequest) -> Result<(), StorageError> {
-        match req.keys.iter().find(|&&k| !self.owns(k)) {
-            Some(&k) => Err(StorageError::KeyNotFound(k)),
-            None => Ok(()),
-        }
-    }
-
-    /// Run `req`'s operations inside `txn` (same semantics as the in-process
-    /// cluster: reads fetch the row, updates increment the audit counter in
-    /// the first 8 bytes).
-    fn run_ops(&self, txn: &mut TxnHandle, req: &TxnRequest) -> Result<(), StorageError> {
-        for &key in &req.keys {
-            match req.kind {
-                OpKind::Read => {
-                    txn.read(MICRO_TABLE_NAME, key)?
-                        .ok_or(StorageError::KeyNotFound(key))?;
-                }
-                OpKind::Update => {
-                    let mut row = txn
-                        .read(MICRO_TABLE_NAME, key)?
-                        .ok_or(StorageError::KeyNotFound(key))?;
-                    let v = super::audit_counter(&row) + 1;
-                    row[..8].copy_from_slice(&v.to_le_bytes());
-                    txn.update(MICRO_TABLE_NAME, key, &row)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Execute a fully-local request to completion, retrying contention
-    /// aborts up to `retry_limit` times. `Err` only for requests this
-    /// partition can never satisfy (a key outside `[lo, hi)`).
+    /// Execute a fully-local micro batch: its plan lowering through
+    /// [`submit_plan_local`](Self::submit_plan_local).
     pub fn submit_local(
         &self,
         req: &TxnRequest,
         retry_limit: u32,
     ) -> Result<SubmitOutcome, StorageError> {
-        self.check_keys(req)?;
-        let mut retries = 0u32;
-        loop {
-            // A recovered in-doubt branch covering one of our keys is a
-            // contention abort, not an error: the branch resolves soon, so
-            // raced submits retry under the normal backoff.
-            if self.recovered_conflict_micro(&req.keys) {
-                if retries >= retry_limit {
-                    return Ok(SubmitOutcome {
-                        committed: false,
-                        distributed: false,
-                        retries,
-                    });
-                }
-                retries += 1;
-                super::contention_backoff(retries);
-                continue;
-            }
-            let mut txn = self.inst.begin();
-            let attempt = self.run_ops(&mut txn, req).and_then(|()| txn.commit());
-            match attempt {
-                Ok(()) => {
-                    return Ok(SubmitOutcome {
-                        committed: true,
-                        distributed: false,
-                        retries,
-                    })
-                }
-                Err(StorageError::Deadlock(_))
-                | Err(StorageError::LockTimeout(_))
-                | Err(StorageError::MustAbort(_)) => {
-                    if retries >= retry_limit {
-                        return Ok(SubmitOutcome {
-                            committed: false,
-                            distributed: false,
-                            retries,
-                        });
-                    }
-                    retries += 1;
-                    super::contention_backoff(retries);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.submit_plan_local(&req.into(), retry_limit)
     }
 
-    /// Execute one 2PC branch and run participant phase 1: force the prepare
-    /// record and vote. Contention failures abort the branch locally and
-    /// vote No (the coordinator retries the whole global transaction); `Err`
-    /// is reserved for misrouted branches (key outside this partition).
+    /// Execute one micro 2PC branch and run participant phase 1: its plan
+    /// lowering through [`prepare_plan_branch`](Self::prepare_plan_branch).
     pub fn prepare_branch(
         &self,
         gtid: u64,
         req: &TxnRequest,
     ) -> Result<BranchOutcome, StorageError> {
-        self.check_keys(req)?;
-        // Rows claimed by a recovered in-doubt branch are as locked as the
-        // old incarnation left them: vote No, the coordinator retries.
-        if self.recovered_conflict_micro(&req.keys) {
-            return Ok(BranchOutcome::No);
-        }
-        let mut txn = self.inst.begin();
-        if self.run_ops(&mut txn, req).is_err() {
-            let _ = txn.abort();
-            return Ok(BranchOutcome::No);
-        }
-        match txn.prepare(gtid) {
-            Ok(PrepareVote::Yes) => Ok(BranchOutcome::Prepared(txn)),
-            Ok(PrepareVote::ReadOnly) => Ok(BranchOutcome::ReadOnly),
-            Err(_) => {
-                let _ = txn.abort();
-                Ok(BranchOutcome::No)
-            }
-        }
+        self.prepare_plan_branch(gtid, &req.into())
     }
 
     /// Catalog name and row width for a plan table id under this engine's
@@ -501,7 +393,7 @@ impl PartitionEngine {
 
     /// Reject plans this partition can never satisfy: an unknown/foreign
     /// table id or any row outside the owned range — typed errors before a
-    /// single operation runs, mirroring [`check_keys`](Self::check_keys).
+    /// single operation runs, so a misrouted request never touches a row.
     pub(crate) fn check_plan(&self, plan: &PlanRequest) -> Result<(), StorageError> {
         for step in &plan.steps {
             self.plan_table(step.table)?;
@@ -550,8 +442,8 @@ impl PartitionEngine {
     }
 
     /// Execute a fully-local multi-step plan to completion, retrying
-    /// contention aborts up to `retry_limit` times — the plan analogue of
-    /// [`submit_local`](Self::submit_local).
+    /// contention aborts up to `retry_limit` times. `Err` only for plans
+    /// this partition can never satisfy (see `check_plan`).
     pub fn submit_plan_local(
         &self,
         plan: &PlanRequest,
@@ -560,7 +452,10 @@ impl PartitionEngine {
         self.check_plan(plan)?;
         let mut retries = 0u32;
         loop {
-            if self.recovered_conflict(&plan.conflict_keys()) {
+            // A recovered in-doubt branch covering one of our rows is a
+            // contention abort, not an error: the branch resolves soon, so
+            // raced submits retry under the normal backoff.
+            if self.recovered_conflict(plan) {
                 if retries >= retry_limit {
                     return Ok(SubmitOutcome {
                         committed: false,
@@ -600,18 +495,21 @@ impl PartitionEngine {
         }
     }
 
-    /// Execute one plan branch and run participant phase 1 — the plan
-    /// analogue of [`prepare_branch`](Self::prepare_branch). Dependent reads
-    /// (range scans) run *before* the prepare record is forced, so a parked
-    /// branch holds their S locks alongside its write locks until the
-    /// decision.
+    /// Execute one plan branch and run participant phase 1: force the
+    /// prepare record and vote. Contention failures abort the branch locally
+    /// and vote No (the coordinator retries the whole global transaction);
+    /// `Err` is reserved for misrouted branches. Dependent reads (range
+    /// scans) run *before* the prepare record is forced, so a parked branch
+    /// holds their S locks alongside its write locks until the decision.
     pub fn prepare_plan_branch(
         &self,
         gtid: u64,
         plan: &PlanRequest,
     ) -> Result<BranchOutcome, StorageError> {
         self.check_plan(plan)?;
-        if self.recovered_conflict(&plan.conflict_keys()) {
+        // Rows claimed by a recovered in-doubt branch are as locked as the
+        // old incarnation left them: vote No, the coordinator retries.
+        if self.recovered_conflict(plan) {
             return Ok(BranchOutcome::No);
         }
         let mut txn = self.inst.begin();

@@ -50,7 +50,7 @@ use std::time::Instant;
 use islands_dtxn::Vote;
 use islands_obs::{metrics, BreakdownCategory, TxnClass};
 use islands_storage::{StorageError, TxnHandle};
-use islands_workload::plan::{PlanRequest, MICRO_TABLE};
+use islands_workload::plan::PlanRequest;
 use islands_workload::TxnRequest;
 
 use super::engine::{BranchOutcome, PartitionConfig, PartitionEngine};
@@ -186,16 +186,6 @@ fn retire_branch(b: &Branch) {
 }
 
 enum Job {
-    Submit {
-        req: TxnRequest,
-        done: SyncSender<Result<SubmitOutcome, StorageError>>,
-    },
-    Prepare {
-        session: u64,
-        gtid: u64,
-        req: TxnRequest,
-        done: SyncSender<Result<Vote, ExecError>>,
-    },
     SubmitPlan {
         plan: PlanRequest,
         done: SyncSender<Result<SubmitOutcome, StorageError>>,
@@ -379,51 +369,23 @@ pub struct ExecutorSession {
 }
 
 impl ExecutorSession {
-    /// Execute one fully-local request serially on the executor.
-    ///
-    /// A request whose keys intersect an in-doubt branch reports
-    /// `committed: false` immediately — the same outcome wait-die hands a
-    /// conflicting newcomer under the locked engine.
+    /// Execute one fully-local micro batch serially on the executor: its
+    /// plan lowering through [`submit_plan`](Self::submit_plan).
     pub fn submit(&self, req: &TxnRequest) -> Result<SubmitOutcome, ExecError> {
-        let (done, wait) = sync_channel(1);
-        metrics().queue_depth().inc();
-        self.tx
-            .send(Job::Submit {
-                req: req.clone(),
-                done,
-            })
-            .map_err(|_| {
-                metrics().queue_depth().dec();
-                ExecError::Gone
-            })?;
-        wait.recv()
-            .map_err(|_| ExecError::Gone)?
-            .map_err(ExecError::Storage)
+        self.submit_plan(&req.into())
     }
 
-    /// Execute one 2PC branch and run participant phase 1 on the executor.
-    /// `Ok(Vote::Yes)` parks the branch in-doubt until [`decide`](Self::decide)
-    /// (from any session) or this session's close presumed-aborts it.
+    /// Execute one micro 2PC branch and run participant phase 1: its plan
+    /// lowering through [`prepare_plan`](Self::prepare_plan).
     pub fn prepare(&self, gtid: u64, req: &TxnRequest) -> Result<Vote, ExecError> {
-        let (done, wait) = sync_channel(1);
-        metrics().queue_depth().inc();
-        self.tx
-            .send(Job::Prepare {
-                session: self.id,
-                gtid,
-                req: req.clone(),
-                done,
-            })
-            .map_err(|_| {
-                metrics().queue_depth().dec();
-                ExecError::Gone
-            })?;
-        wait.recv().map_err(|_| ExecError::Gone)?
+        self.prepare_plan(gtid, &req.into())
     }
 
-    /// Execute one fully-local multi-step plan serially on the executor —
-    /// the plan analogue of [`submit`](Self::submit), with the conflict
-    /// check running over `(table, key)` pairs (range reads expanded).
+    /// Execute one fully-local multi-step plan serially on the executor.
+    ///
+    /// A plan touching a row of an in-doubt branch (range reads included)
+    /// reports `committed: false` immediately — the same outcome wait-die
+    /// hands a conflicting newcomer under the locked engine.
     pub fn submit_plan(&self, plan: &PlanRequest) -> Result<SubmitOutcome, ExecError> {
         let (done, wait) = sync_channel(1);
         metrics().queue_depth().inc();
@@ -441,10 +403,11 @@ impl ExecutorSession {
             .map_err(ExecError::Storage)
     }
 
-    /// Execute one plan branch and run participant phase 1 on the executor —
-    /// the plan analogue of [`prepare`](Self::prepare). A `Vote::Yes` parks
-    /// the branch with its full `(table, key)` footprint, dependent reads
-    /// included, so conflicting work aborts until the decision.
+    /// Execute one plan branch and run participant phase 1 on the executor.
+    /// A `Vote::Yes` parks the branch with its full `(table, key)`
+    /// footprint, dependent reads included, so conflicting work aborts until
+    /// [`decide`](Self::decide) (from any session) or this session's close
+    /// presumed-aborts it.
     pub fn prepare_plan(&self, gtid: u64, plan: &PlanRequest) -> Result<Vote, ExecError> {
         let (done, wait) = sync_channel(1);
         metrics().queue_depth().inc();
@@ -504,23 +467,15 @@ impl Drop for ExecutorSession {
     }
 }
 
-/// Whether `keys` intersect any in-doubt branch's `(table, key)` set.
-/// Branch counts are small (one per outstanding 2PC transaction on this
-/// partition), so a linear scan beats maintaining an index.
-fn conflicts(branches: &HashMap<u64, Branch>, keys: &[(u32, u64)]) -> bool {
+/// Whether `plan` touches any in-doubt branch's `(table, key)` set. Branch
+/// counts are small (one per outstanding 2PC transaction on this
+/// partition), so a linear scan beats maintaining an index; the steps are
+/// walked in place, so nothing is allocated and an empty parked set answers
+/// at once.
+fn conflicts(branches: &HashMap<u64, Branch>, plan: &PlanRequest) -> bool {
     branches
         .values()
-        .any(|b| keys.iter().any(|k| b.keys.contains(k)))
-}
-
-/// [`conflicts`] for a micro request, whose keys all live in the micro
-/// table; avoids materializing pairs on the fast path.
-fn conflicts_micro(branches: &HashMap<u64, Branch>, keys: &[u64]) -> bool {
-    branches.values().any(|b| {
-        b.keys
-            .iter()
-            .any(|&(t, k)| t == MICRO_TABLE && keys.contains(&k))
-    })
+        .any(|b| b.keys.iter().any(|&(t, k)| plan.touches(t, k)))
 }
 
 /// The executor thread's serve loop: drain jobs until shutdown, then
@@ -529,67 +484,6 @@ fn serve(engine: &PartitionEngine, rx: &Receiver<Job>) {
     let mut branches: HashMap<u64, Branch> = HashMap::new();
     while let Ok(job) = rx.recv() {
         match job {
-            Job::Submit { req, done } => {
-                metrics().queue_depth().dec();
-                islands_obs::set_txn_class(if req.multisite {
-                    TxnClass::Multisite
-                } else {
-                    TxnClass::Local
-                });
-                let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let outcome = if conflicts_micro(&branches, &req.keys) {
-                    // Keys held by an in-doubt branch: abort now, exactly as
-                    // wait-die would kill the younger conflicting txn.
-                    engine.check_keys(&req).map(|()| SubmitOutcome {
-                        committed: false,
-                        distributed: false,
-                        retries: 0,
-                    })
-                } else {
-                    // Lock-free engine: contention errors cannot occur, so
-                    // the retry budget is moot.
-                    engine.submit_local(&req, 0)
-                };
-                let _ = done.send(outcome);
-            }
-            Job::Prepare {
-                session,
-                gtid,
-                req,
-                done,
-            } => {
-                metrics().queue_depth().dec();
-                islands_obs::set_txn_class(TxnClass::Multisite);
-                let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let reply = if branches.contains_key(&gtid) {
-                    Err(ExecError::DuplicateGtid(gtid))
-                } else if conflicts_micro(&branches, &req.keys) {
-                    engine
-                        .check_keys(&req)
-                        .map(|()| Vote::No)
-                        .map_err(ExecError::Storage)
-                } else {
-                    match engine.prepare_branch(gtid, &req) {
-                        Ok(BranchOutcome::Prepared(handle)) => {
-                            metrics().in_doubt().inc();
-                            branches.insert(
-                                gtid,
-                                Branch {
-                                    handle,
-                                    session,
-                                    keys: req.keys.iter().map(|&k| (MICRO_TABLE, k)).collect(),
-                                    parked_at: Instant::now(),
-                                },
-                            );
-                            Ok(Vote::Yes)
-                        }
-                        Ok(BranchOutcome::ReadOnly) => Ok(Vote::ReadOnly),
-                        Ok(BranchOutcome::No) => Ok(Vote::No),
-                        Err(e) => Err(ExecError::Storage(e)),
-                    }
-                };
-                let _ = done.send(reply);
-            }
             Job::SubmitPlan { plan, done } => {
                 metrics().queue_depth().dec();
                 islands_obs::set_txn_class(if plan.multisite {
@@ -598,13 +492,17 @@ fn serve(engine: &PartitionEngine, rx: &Receiver<Job>) {
                     TxnClass::Local
                 });
                 let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let outcome = if conflicts(&branches, &plan.conflict_keys()) {
+                let outcome = if conflicts(&branches, &plan) {
+                    // Rows held by an in-doubt branch: abort now, exactly as
+                    // wait-die would kill the younger conflicting txn.
                     engine.check_plan(&plan).map(|()| SubmitOutcome {
                         committed: false,
                         distributed: false,
                         retries: 0,
                     })
                 } else {
+                    // Lock-free engine: contention errors cannot occur, so
+                    // the retry budget is moot.
                     engine.submit_plan_local(&plan, 0)
                 };
                 let _ = done.send(outcome);
@@ -618,10 +516,9 @@ fn serve(engine: &PartitionEngine, rx: &Receiver<Job>) {
                 metrics().queue_depth().dec();
                 islands_obs::set_txn_class(TxnClass::Multisite);
                 let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let footprint = plan.conflict_keys();
                 let reply = if branches.contains_key(&gtid) {
                     Err(ExecError::DuplicateGtid(gtid))
-                } else if conflicts(&branches, &footprint) {
+                } else if conflicts(&branches, &plan) {
                     engine
                         .check_plan(&plan)
                         .map(|()| Vote::No)
@@ -635,7 +532,7 @@ fn serve(engine: &PartitionEngine, rx: &Receiver<Job>) {
                                 Branch {
                                     handle,
                                     session,
-                                    keys: footprint,
+                                    keys: plan.conflict_keys(),
                                     parked_at: Instant::now(),
                                 },
                             );

@@ -51,20 +51,35 @@ pub struct WarehouseSites {
     pub n_sites: usize,
 }
 
+impl WarehouseSites {
+    /// [`SiteMap::site_of`] for rows that may not belong to this layout: an
+    /// unknown table or a warehouse past the scale factor is an `Err` naming
+    /// it, not a panic — the form a coordinator routes untrusted plans with.
+    pub fn checked_site_of(&self, table: u32, key: u64) -> Result<usize, String> {
+        // History and order rows are homed where they are written; their
+        // keys encode the warehouse in the high 32 bits.
+        let w = tpcc::warehouse_of_table(table, key)
+            .ok_or_else(|| format!("unknown tpcc table {table}"))?;
+        if w >= self.warehouses {
+            return Err(format!(
+                "warehouse {w} out of range ({} warehouses)",
+                self.warehouses
+            ));
+        }
+        Ok(((w as u128 * self.n_sites as u128) / self.warehouses as u128) as usize)
+    }
+}
+
 impl SiteMap for WarehouseSites {
     fn n_sites(&self) -> usize {
         self.n_sites
     }
 
     fn site_of(&self, table: u32, key: u64) -> usize {
-        // History and order rows are homed where they are written; their
-        // keys encode the warehouse in the high 32 bits.
-        let w = match tpcc::warehouse_of_table(table, key) {
-            Some(w) => w,
-            None => panic!("unknown tpcc table {table}"),
-        };
-        debug_assert!(w < self.warehouses, "warehouse {w} out of range");
-        ((w as u128 * self.n_sites as u128) / self.warehouses as u128) as usize
+        match self.checked_site_of(table, key) {
+            Ok(site) => site,
+            Err(e) => panic!("{e}"),
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 
 use islands_workload::plan::{PlanRequest, StepOp};
 use islands_workload::tpcc::{self, Payment};
-use islands_workload::{OpKind, TxnRequest};
+use islands_workload::TxnRequest;
 
 /// One row operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,23 +88,10 @@ pub fn plan_from_request(req: &PlanRequest) -> TxnPlan {
     TxnPlan { ops }
 }
 
-/// Convert a microbenchmark request into a plan over [`MICRO_TABLE`].
+/// Convert a microbenchmark request into a plan over [`MICRO_TABLE`],
+/// through the one batch lowering (`PlanRequest::from`).
 pub fn plan_micro(req: &TxnRequest) -> TxnPlan {
-    let op = match req.kind {
-        OpKind::Read => OpType::Read,
-        OpKind::Update => OpType::Update,
-    };
-    TxnPlan {
-        ops: req
-            .keys
-            .iter()
-            .map(|&key| PlanOp {
-                table: MICRO_TABLE,
-                key,
-                op,
-            })
-            .collect(),
-    }
+    plan_from_request(&req.into())
 }
 
 /// Convert a Payment into a plan. `history_key` must be unique per
@@ -139,6 +126,7 @@ pub fn plan_payment(p: &Payment, history_key: u64) -> TxnPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use islands_workload::OpKind;
 
     #[test]
     fn micro_plan_maps_kinds() {

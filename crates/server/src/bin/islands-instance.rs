@@ -1,7 +1,7 @@
 //! One shared-nothing instance process.
 //!
 //! Serves a [`PartitionEngine`](islands_core::native::PartitionEngine) over
-//! the wire protocol: local submissions commit here, 2PC `Prepare`/
+//! the wire protocol: local submissions commit here, 2PC `PreparePlan`/
 //! `Decision` frames drive participant-side distributed commit. Normally
 //! spawned by `islands_server::deploy::Deployment` (which passes
 //! `--instance-child` plus the partition/endpoint flags and reads the

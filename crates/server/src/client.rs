@@ -87,7 +87,7 @@ impl Client {
 
     /// Ship one raw request without waiting for the reply. Lower-level than
     /// [`submit`](Self::submit): a 2PC coordinator uses this to fan a
-    /// `Prepare` out to every participant before collecting any votes.
+    /// `PreparePlan` out to every participant before collecting any votes.
     pub fn send_request(&mut self, request: &Request) -> io::Result<()> {
         self.send(std::slice::from_ref(request))
     }

@@ -17,10 +17,12 @@
 //!   available) to the cores `hwtopo`'s island placement assigns it on the
 //!   *detected host* topology — the paper's "N islands" layout, not a
 //!   simulated one.
-//! * **Wire-level 2PC.** Single-site requests go straight to the owning
-//!   instance as `Submit` frames. Multisite requests run presumed-abort
+//! * **Wire-level 2PC.** Every request travels as a plan: a micro batch is
+//!   lowered to its [`PlanRequest`] once, at [`DeployClient::submit`], and
+//!   routed step by step. Single-site requests go straight to the owning
+//!   instance as `SubmitPlan` frames. Multisite requests run presumed-abort
 //!   two-phase commit: the [`DeployClient`] coordinator splits the request
-//!   into per-instance branches, fans out `Prepare` frames, collects
+//!   into per-instance branches, fans out `PreparePlan` frames, collects
 //!   `Vote`s, forces commit decisions to the coordinator log, delivers
 //!   `Decision`s, and collects `Ack`s — driving the pure
 //!   [`islands_dtxn::Coordinator`] state machine with bytes on sockets
@@ -42,6 +44,7 @@
 //! stats line).
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
@@ -53,11 +56,11 @@ use std::time::{Duration, Instant};
 use islands_core::native::{
     EngineMode, ExecutorConfig, PartitionConfig, PartitionEngine, PartitionExecutor, TpccPartition,
 };
-use islands_core::partition::{warehouse_range, SiteMap, WarehouseSites};
+use islands_core::partition::{warehouse_range, WarehouseSites};
 use islands_core::plan::MICRO_TABLE;
 use islands_dtxn::{Action, Coordinator, DecisionLog, Vote};
 use islands_hwtopo::{island_cpu_lists, HostTopology};
-use islands_workload::{PlanBranch, PlanRequest, TxnBranch, TxnRequest};
+use islands_workload::{PlanBranch, PlanRequest, TxnRequest};
 
 use crate::client::Client;
 use crate::server::{Backend, Conn, Endpoint, Server, ServerConfig};
@@ -277,18 +280,28 @@ pub fn split_by_owner(
 }
 
 /// Split a multi-step plan into per-instance branches, preserving step
-/// order within each branch (`owner` maps `(table, key)` to an instance —
-/// see [`Deployment::owner_of_step`]). Branches keep the plan's class and
-/// are marked multisite, so a parked remote-Payment branch records its
-/// class in each participant's stats.
+/// order within each branch (`owner` maps `(table, key)` to an instance).
+/// Branches keep the plan's class and are marked multisite, so a parked
+/// remote-Payment branch records its class in each participant's stats.
 pub fn split_plan_by_owner<F: Fn(u32, u64) -> usize>(
     plan: &PlanRequest,
     owner: F,
 ) -> (Vec<usize>, HashMap<usize, PlanRequest>) {
+    let Ok(split) = try_split_plan_by_owner(plan, |t, k| Ok::<_, Infallible>(owner(t, k)));
+    split
+}
+
+/// [`split_plan_by_owner`] with a fallible `owner` (see
+/// [`Deployment::owner_of_step`]): the first step no instance owns stops
+/// the split with its error.
+fn try_split_plan_by_owner<E, F: Fn(u32, u64) -> Result<usize, E>>(
+    plan: &PlanRequest,
+    owner: F,
+) -> Result<(Vec<usize>, HashMap<usize, PlanRequest>), E> {
     let mut order = Vec::new();
     let mut branches: HashMap<usize, PlanRequest> = HashMap::new();
     for step in &plan.steps {
-        let inst = owner(step.table, step.key);
+        let inst = owner(step.table, step.key)?;
         let branch = branches.entry(inst).or_insert_with(|| {
             order.push(inst);
             PlanRequest {
@@ -299,7 +312,7 @@ pub fn split_plan_by_owner<F: Fn(u32, u64) -> usize>(
         });
         branch.steps.push(*step);
     }
-    (order, branches)
+    Ok((order, branches))
 }
 
 /// Final counters one instance printed at drain.
@@ -532,7 +545,7 @@ fn resolver_session(
 /// relative to the victim's own frames).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
-    /// Before the victim's `Prepare` frame is sent: nothing durable exists
+    /// Before the victim's `PreparePlan` frame is sent: nothing durable exists
     /// on the victim; the transaction presumed-aborts.
     PrePrepare,
     /// After the victim voted Yes (its prepared branch is durable in its
@@ -859,18 +872,23 @@ impl Deployment {
 
     /// The instance owning `(table, key)` under the deployment's workload:
     /// micro keys by row range, TPC-C keys by their warehouse (via the same
-    /// proportional map [`warehouse_range`] inverts for loading).
-    pub fn owner_of_step(&self, table: u32, key: u64) -> usize {
+    /// proportional map [`warehouse_range`] inverts for loading). A table
+    /// the deployment does not serve, a micro key past `total_rows` or a
+    /// warehouse past the scale factor has no owner: `Err` names it.
+    pub fn owner_of_step(&self, table: u32, key: u64) -> Result<usize, String> {
         match self.workload {
-            DeployWorkload::Micro => {
-                debug_assert_eq!(table, MICRO_TABLE);
-                self.owner_of(key)
+            DeployWorkload::Micro if table != MICRO_TABLE => {
+                Err(format!("table {table} is not served by a micro deployment"))
             }
+            DeployWorkload::Micro if key >= self.total_rows => {
+                Err(format!("key {key} out of range ({} rows)", self.total_rows))
+            }
+            DeployWorkload::Micro => Ok(self.owner_of(key)),
             DeployWorkload::Tpcc { warehouses } => WarehouseSites {
                 warehouses,
                 n_sites: self.members.len(),
             }
-            .site_of(table, key),
+            .checked_site_of(table, key),
         }
     }
 
@@ -1244,90 +1262,10 @@ impl DeployClient {
         self.conns[i] = None;
     }
 
-    /// Route one request: single-site requests go straight to the owner,
-    /// multisite requests run wire-level 2PC with this client as
-    /// coordinator.
+    /// Route one micro batch: its plan lowering through
+    /// [`submit_plan`](Self::submit_plan).
     pub fn submit(&mut self, req: &TxnRequest) -> io::Result<DeployReply> {
-        let n = self.deploy.instances();
-        let (order, branches) = split_by_owner(req, n, self.deploy.total_rows());
-        if order.len() <= 1 {
-            let target = order.first().copied().unwrap_or(0);
-            return self.submit_single(target, req);
-        }
-
-        let mut retries = 0u32;
-        loop {
-            match self.try_2pc(&order, &branches)? {
-                TwoPc::Commit => {
-                    return Ok(DeployReply::Outcome(DeployOutcome {
-                        committed: true,
-                        distributed: true,
-                        retries,
-                        presumed_abort: false,
-                    }))
-                }
-                TwoPc::Abort => {
-                    if retries >= self.deploy.retry_limit {
-                        return Ok(DeployReply::Outcome(DeployOutcome {
-                            committed: false,
-                            distributed: true,
-                            retries,
-                            presumed_abort: false,
-                        }));
-                    }
-                    retries += 1;
-                    std::thread::yield_now();
-                }
-                TwoPc::PresumedAbort => {
-                    self.deploy.presumed_aborts.fetch_add(1, Ordering::Relaxed);
-                    return Ok(DeployReply::Outcome(DeployOutcome {
-                        committed: false,
-                        distributed: true,
-                        retries,
-                        presumed_abort: true,
-                    }));
-                }
-                TwoPc::Error(message) => return Ok(DeployReply::ServerError(message)),
-            }
-        }
-    }
-
-    fn submit_single(&mut self, target: usize, req: &TxnRequest) -> io::Result<DeployReply> {
-        let Ok(conn) = self.conn(target) else {
-            return Ok(DeployReply::InstanceDown(target));
-        };
-        if conn.send_request(&Request::Submit(req.clone())).is_err() {
-            self.mark_dead(target);
-            return Ok(DeployReply::InstanceDown(target));
-        }
-        let deadline = self.deploy.submit_timeout;
-        match self.recv_deadline(target, deadline) {
-            Ok(Reply::Committed {
-                distributed,
-                retries,
-                ..
-            }) => Ok(DeployReply::Outcome(DeployOutcome {
-                committed: true,
-                distributed,
-                retries,
-                presumed_abort: false,
-            })),
-            Ok(Reply::Aborted { retries }) => Ok(DeployReply::Outcome(DeployOutcome {
-                committed: false,
-                distributed: false,
-                retries,
-                presumed_abort: false,
-            })),
-            Ok(Reply::Error { message }) => Ok(DeployReply::ServerError(message)),
-            Ok(other) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected reply to submit: {other:?}"),
-            )),
-            Err(_) => {
-                self.mark_dead(target);
-                Ok(DeployReply::InstanceDown(target))
-            }
-        }
+        self.submit_plan(&req.into())
     }
 
     /// Read a reply with the vote/ack deadline armed; any failure poisons
@@ -1348,43 +1286,19 @@ impl DeployClient {
         reply
     }
 
-    /// One round of wire-level 2PC for `gtid`'s branches.
-    fn try_2pc(
-        &mut self,
-        parts: &[usize],
-        branches: &HashMap<usize, TxnRequest>,
-    ) -> io::Result<TwoPc> {
-        let gtid = self.deploy.next_gtid();
-        drive_2pc(self, gtid, parts, |gtid, to| {
-            Request::Prepare(TxnBranch {
-                gtid,
-                req: branches[&to].clone(),
-            })
-        })
-    }
-
-    /// One round of wire-level 2PC for a plan's branches: the same driver,
-    /// with `PreparePlan` frames carrying each participant's step list.
-    fn try_2pc_plan(
-        &mut self,
-        parts: &[usize],
-        branches: &HashMap<usize, PlanRequest>,
-    ) -> io::Result<TwoPc> {
-        let gtid = self.deploy.next_gtid();
-        drive_2pc(self, gtid, parts, |gtid, to| {
-            Request::PreparePlan(PlanBranch {
-                gtid,
-                plan: branches[&to].clone(),
-            })
-        })
-    }
-
     /// Route one multi-step plan: single-instance plans go straight to the
-    /// owner as a `SubmitPlan` frame; plans spanning instances (remote-
-    /// warehouse Payments) run wire-level 2PC with `PreparePlan` branches.
+    /// owner as a `SubmitPlan` frame; plans spanning instances (multisite
+    /// batches, remote-warehouse Payments) run wire-level 2PC with
+    /// `PreparePlan` branches, retried on abort up to the retry limit. A
+    /// step no instance owns is a [`DeployReply::ServerError`] before any
+    /// frame leaves.
     pub fn submit_plan(&mut self, plan: &PlanRequest) -> io::Result<DeployReply> {
         let deploy = Arc::clone(&self.deploy);
-        let (order, branches) = split_plan_by_owner(plan, |t, k| deploy.owner_of_step(t, k));
+        let (order, branches) =
+            match try_split_plan_by_owner(plan, |t, k| deploy.owner_of_step(t, k)) {
+                Ok(split) => split,
+                Err(message) => return Ok(DeployReply::ServerError(message)),
+            };
         if order.len() <= 1 {
             let target = order.first().copied().unwrap_or(0);
             return self.submit_plan_single(target, plan);
@@ -1392,7 +1306,8 @@ impl DeployClient {
 
         let mut retries = 0u32;
         loop {
-            match self.try_2pc_plan(&order, &branches)? {
+            let gtid = self.deploy.next_gtid();
+            match drive_2pc(self, gtid, &order, &branches)? {
                 TwoPc::Commit => {
                     return Ok(DeployReply::Outcome(DeployOutcome {
                         committed: true,
@@ -1504,7 +1419,7 @@ impl TwoPcLink for DeployClient {
         // protocol steps, so the drill hits the same in-doubt windows every
         // run instead of whenever a signal happens to land.
         match frame {
-            Request::Prepare(_) | Request::PreparePlan(_) => {
+            Request::PreparePlan(_) => {
                 self.deploy.maybe_fire_fault(FaultPoint::PrePrepare, to);
             }
             Request::Decision { .. } => {
@@ -1606,15 +1521,13 @@ fn collect_acks<L: TwoPcLink>(
 
 /// One full round of 2PC over `link`: prepare fan-out, vote collection,
 /// decision fan-out, ack collection, with participant failures reported to
-/// the [`Coordinator`] state machine as they surface. `prepare_frame`
-/// builds participant `to`'s phase-1 frame — a micro [`Request::Prepare`]
-/// or a multi-step [`Request::PreparePlan`]; everything from the votes on
-/// is branch-type-agnostic.
-fn drive_2pc<L: TwoPcLink, F: Fn(u64, usize) -> Request>(
+/// the [`Coordinator`] state machine as they surface. Participant `to`'s
+/// phase-1 frame is a [`Request::PreparePlan`] carrying `branches[&to]`.
+fn drive_2pc<L: TwoPcLink>(
     link: &mut L,
     gtid: u64,
     parts: &[usize],
-    prepare_frame: F,
+    branches: &HashMap<usize, PlanRequest>,
 ) -> io::Result<TwoPc> {
     let (mut coord, prepares) = Coordinator::new(gtid, parts.to_vec());
 
@@ -1631,7 +1544,10 @@ fn drive_2pc<L: TwoPcLink, F: Fn(u64, usize) -> Request>(
             unreachable!("prepare fan-out yields only SendPrepare");
         };
         if unreachable.is_empty() {
-            let frame = prepare_frame(gtid, to);
+            let frame = Request::PreparePlan(PlanBranch {
+                gtid,
+                plan: branches[&to].clone(),
+            });
             match link.send(to, &frame) {
                 Ok(()) => {
                     sent.push(to);
@@ -2145,6 +2061,7 @@ mod tests {
 
     #[test]
     fn split_plan_follows_warehouses_not_raw_keys() {
+        use islands_core::partition::SiteMap;
         use islands_core::plan::{TPCC_CUSTOMER, TPCC_DISTRICT, TPCC_HISTORY, TPCC_WAREHOUSE};
         use islands_workload::plan::{PlanClass, PlanStep, StepOp};
         use islands_workload::tpcc;
@@ -2210,13 +2127,7 @@ mod tests {
             );
             link.script(p, Ok(Reply::Ack { gtid }));
         }
-        let out = drive_2pc(&mut link, gtid, &parts, |gtid, to| {
-            Request::PreparePlan(PlanBranch {
-                gtid,
-                plan: branches[&to].clone(),
-            })
-        })
-        .unwrap();
+        let out = drive_2pc(&mut link, gtid, &parts, &branches).unwrap();
         assert!(matches!(out, TwoPc::Commit));
         assert_eq!(link.forced, vec![gtid]);
         for p in parts {
@@ -2342,18 +2253,18 @@ mod tests {
         }
     }
 
-    fn branch_map(parts: &[usize]) -> HashMap<usize, TxnRequest> {
+    /// One micro update branch per participant, lowered to the plan each
+    /// `PreparePlan` frame carries.
+    fn branch_map(parts: &[usize]) -> HashMap<usize, PlanRequest> {
         parts
             .iter()
             .map(|&p| {
-                (
-                    p,
-                    TxnRequest {
-                        kind: OpKind::Update,
-                        keys: vec![p as u64],
-                        multisite: true,
-                    },
-                )
+                let batch = TxnRequest {
+                    kind: OpKind::Update,
+                    keys: vec![p as u64],
+                    multisite: true,
+                };
+                (p, PlanRequest::from(&batch))
             })
             .collect()
     }
@@ -2418,18 +2329,20 @@ mod tests {
             link.script(p, Ok(Reply::Ack { gtid }));
         }
         let branches = branch_map(&parts);
-        let out = drive_2pc(&mut link, gtid, &parts, |gtid, to| {
-            Request::Prepare(TxnBranch {
-                gtid,
-                req: branches[&to].clone(),
-            })
-        })
-        .unwrap();
+        let out = drive_2pc(&mut link, gtid, &parts, &branches).unwrap();
         assert!(matches!(out, TwoPc::Commit));
         assert_eq!(link.forced, vec![gtid], "commit decision must be forced");
         for p in parts {
             assert_eq!(link.recvs[p], 2, "vote + ack read from {p}");
             assert_eq!(link.sent[p].len(), 2, "prepare + decision sent to {p}");
+            assert_eq!(
+                link.sent[p][0],
+                Request::PreparePlan(PlanBranch {
+                    gtid,
+                    plan: branches[&p].clone(),
+                }),
+                "phase 1 to {p} carries its own branch"
+            );
             assert!(!link.dead[p]);
         }
     }
@@ -2449,13 +2362,7 @@ mod tests {
         link.script(0, Ok(Reply::Ack { gtid }));
         link.script(1, Err(ScriptedLink::timeout()));
         let branches = branch_map(&parts);
-        let out = drive_2pc(&mut link, gtid, &parts, |gtid, to| {
-            Request::Prepare(TxnBranch {
-                gtid,
-                req: branches[&to].clone(),
-            })
-        })
-        .unwrap();
+        let out = drive_2pc(&mut link, gtid, &parts, &branches).unwrap();
         assert!(matches!(out, TwoPc::PresumedAbort));
         assert!(link.forced.is_empty(), "presumed abort forces nothing");
         assert_eq!(

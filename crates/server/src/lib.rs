@@ -24,7 +24,7 @@
 //!   server process per shared-nothing instance
 //!   ([`Deployment`]), route single-site traffic to the
 //!   owner, and run presumed-abort two-phase commit across processes with
-//!   `Prepare`/`Vote`/`Decision`/`Ack` wire frames
+//!   `PreparePlan`/`Vote`/`Decision`/`Ack` wire frames
 //!   ([`DeployClient`]).
 //!
 //! ```no_run

@@ -37,8 +37,8 @@ use islands_core::native::{
 use islands_core::plan::{plan_from_request, MICRO_TABLE};
 use islands_dtxn::{Participant, ParticipantEvent, Vote};
 use islands_obs::{BreakdownCategory, TxnClass};
-use islands_storage::{StorageError, TxnHandle};
-use islands_workload::{PlanBranch, TxnBranch};
+use islands_storage::TxnHandle;
+use islands_workload::{PlanBranch, PlanRequest};
 
 use crate::wire::{FrameReader, Reply, Request, WireMessage};
 
@@ -113,8 +113,9 @@ pub enum Backend {
     /// process; the wire carries only submissions.
     Cluster(Arc<NativeCluster>),
     /// One shared-nothing instance. Local submissions commit here;
-    /// [`Request::Prepare`]/[`Request::Decision`] frames drive participant-
-    /// side 2PC, with presumed abort when a coordinator connection dies.
+    /// [`Request::PreparePlan`]/[`Request::Decision`] frames drive
+    /// participant-side 2PC, with presumed abort when a coordinator
+    /// connection dies.
     Partition(Arc<PartitionEngine>),
     /// One shared-nothing instance in **serial executor** mode: sessions
     /// become producers that enqueue decoded requests onto the partition's
@@ -725,27 +726,6 @@ fn session_loop(
                     obs: Box::new(islands_obs::metrics().snapshot()),
                 }
                 .encode_frame(&mut out),
-                Request::Prepare(branch) => {
-                    counters.prepares.fetch_add(1, Ordering::Relaxed);
-                    islands_obs::set_txn_class(TxnClass::Multisite);
-                    let started = Instant::now();
-                    // Inline backends do the work on this thread, so the
-                    // management span here catches what nested storage spans
-                    // don't claim; an executor backend spans itself on the
-                    // executor thread (the rendezvous wait stays unclaimed).
-                    let _span = exec
-                        .is_none()
-                        .then(|| islands_obs::enter(BreakdownCategory::XctManagement));
-                    let reply = match exec {
-                        Some(s) => handle_prepare_exec(s, branch, counters),
-                        None => handle_prepare(backend, branch, in_doubt, counters),
-                    };
-                    islands_obs::metrics().record_prepare(started.elapsed().as_nanos() as u64);
-                    if matches!(reply, Reply::Error { .. }) {
-                        counters.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    reply.encode_frame(&mut out);
-                }
                 Request::Decision { gtid, commit } => {
                     counters.decisions.fetch_add(1, Ordering::Relaxed);
                     islands_obs::set_txn_class(TxnClass::Multisite);
@@ -763,68 +743,18 @@ fn session_loop(
                     }
                     reply.encode_frame(&mut out);
                 }
-                Request::Submit(txn) => {
-                    let class = if txn.multisite {
-                        TxnClass::Multisite
-                    } else {
-                        TxnClass::Local
-                    };
-                    islands_obs::set_txn_class(class);
-                    let started = Instant::now();
-                    let _span = exec
-                        .is_none()
-                        .then(|| islands_obs::enter(BreakdownCategory::XctManagement));
-                    let outcome: Result<SubmitOutcome, String> = match (backend, exec) {
-                        (Backend::Cluster(cluster), _) => cluster
-                            .submit(txn, config.retry_limit)
-                            .map_err(|e| e.to_string()),
-                        (Backend::Partition(engine), _) => engine
-                            .submit_local(txn, config.retry_limit)
-                            .map_err(|e| e.to_string()),
-                        (Backend::Executor(_), Some(s)) => s.submit(txn).map_err(|e| e.to_string()),
-                        (Backend::Executor(_), None) => {
-                            unreachable!("executor backend always has a session")
-                        }
-                    };
-                    encode_submit_outcome(outcome, started, counters, &mut out);
-                    islands_obs::metrics().record_txn(class, started.elapsed().as_nanos() as u64);
-                }
+                // A micro batch is the compact form of a single-table plan:
+                // lowered once here, it runs exactly as a submitted plan.
+                Request::Submit(txn) => handle_submit(
+                    &PlanRequest::from(txn),
+                    backend,
+                    exec,
+                    config.retry_limit,
+                    counters,
+                    &mut out,
+                ),
                 Request::SubmitPlan(plan) => {
-                    let class = if plan.multisite {
-                        TxnClass::Multisite
-                    } else {
-                        TxnClass::Local
-                    };
-                    islands_obs::set_txn_class(class);
-                    let started = Instant::now();
-                    let _span = exec
-                        .is_none()
-                        .then(|| islands_obs::enter(BreakdownCategory::XctManagement));
-                    let outcome: Result<SubmitOutcome, String> = match (backend, exec) {
-                        (Backend::Cluster(cluster), _) => {
-                            // The in-process cluster range-partitions only
-                            // the micro table; TPC-C plans belong on
-                            // partition/executor instances.
-                            if plan.steps.iter().all(|s| s.table == MICRO_TABLE) {
-                                cluster
-                                    .submit_plan(&plan_from_request(plan), config.retry_limit)
-                                    .map_err(|e| e.to_string())
-                            } else {
-                                Err("cluster backend serves only micro-table plans".into())
-                            }
-                        }
-                        (Backend::Partition(engine), _) => engine
-                            .submit_plan_local(plan, config.retry_limit)
-                            .map_err(|e| e.to_string()),
-                        (Backend::Executor(_), Some(s)) => {
-                            s.submit_plan(plan).map_err(|e| e.to_string())
-                        }
-                        (Backend::Executor(_), None) => {
-                            unreachable!("executor backend always has a session")
-                        }
-                    };
-                    encode_submit_outcome(outcome, started, counters, &mut out);
-                    islands_obs::metrics().record_txn(class, started.elapsed().as_nanos() as u64);
+                    handle_submit(plan, backend, exec, config.retry_limit, counters, &mut out)
                 }
                 Request::PreparePlan(branch) => {
                     counters.prepares.fetch_add(1, Ordering::Relaxed);
@@ -903,72 +833,75 @@ fn session_loop(
     Ok(())
 }
 
-/// Encode the reply for a submit-style request (micro batch or multi-step
-/// plan): committed/aborted with retry counts, or the typed storage error's
-/// message for requests the engine can never satisfy.
-fn encode_submit_outcome(
-    outcome: Result<SubmitOutcome, String>,
-    started: Instant,
+/// Run one submitted plan to completion on this session's backend and
+/// encode the reply: committed/aborted with retry counts, or the typed
+/// storage error's message for requests the engine can never satisfy.
+fn handle_submit(
+    plan: &PlanRequest,
+    backend: &Backend,
+    exec: Option<&ExecutorSession>,
+    retry_limit: u32,
     counters: &Counters,
     out: &mut Vec<u8>,
 ) {
-    match outcome {
-        Ok(outcome) => {
-            let reply = if outcome.committed {
-                counters.commits.fetch_add(1, Ordering::Relaxed);
-                Reply::Committed {
-                    distributed: outcome.distributed,
-                    retries: outcome.retries,
-                    server_micros: started.elapsed().as_micros() as u64,
-                }
+    let class = if plan.multisite {
+        TxnClass::Multisite
+    } else {
+        TxnClass::Local
+    };
+    islands_obs::set_txn_class(class);
+    let started = Instant::now();
+    let _span = exec
+        .is_none()
+        .then(|| islands_obs::enter(BreakdownCategory::XctManagement));
+    let outcome: Result<SubmitOutcome, String> = match (backend, exec) {
+        (Backend::Cluster(cluster), _) => {
+            // The in-process cluster range-partitions only the micro table;
+            // TPC-C plans belong on partition/executor instances.
+            if plan.steps.iter().all(|s| s.table == MICRO_TABLE) {
+                cluster
+                    .submit_plan(&plan_from_request(plan), retry_limit)
+                    .map_err(|e| e.to_string())
             } else {
-                counters.aborts.fetch_add(1, Ordering::Relaxed);
-                Reply::Aborted {
-                    retries: outcome.retries,
-                }
-            };
-            reply.encode_frame(out);
+                Err("cluster backend serves only micro-table plans".into())
+            }
+        }
+        (Backend::Partition(engine), _) => engine
+            .submit_plan_local(plan, retry_limit)
+            .map_err(|e| e.to_string()),
+        (Backend::Executor(_), Some(s)) => s.submit_plan(plan).map_err(|e| e.to_string()),
+        (Backend::Executor(_), None) => {
+            unreachable!("executor backend always has a session")
+        }
+    };
+    let reply = match outcome {
+        Ok(outcome) if outcome.committed => {
+            counters.commits.fetch_add(1, Ordering::Relaxed);
+            Reply::Committed {
+                distributed: outcome.distributed,
+                retries: outcome.retries,
+                server_micros: started.elapsed().as_micros() as u64,
+            }
+        }
+        Ok(outcome) => {
+            counters.aborts.fetch_add(1, Ordering::Relaxed);
+            Reply::Aborted {
+                retries: outcome.retries,
+            }
         }
         Err(message) => {
             counters.errors.fetch_add(1, Ordering::Relaxed);
-            Reply::Error { message }.encode_frame(out);
+            Reply::Error { message }
         }
-    }
-}
-
-/// 2PC phase 1: execute the branch, force the prepare record, vote. The
-/// storage layer does the work; the [`Participant`] state machine enforces
-/// protocol order and rides along in the in-doubt map so phase 2 can only
-/// happen on a genuinely prepared branch.
-fn handle_prepare(
-    backend: &Backend,
-    branch: &TxnBranch,
-    in_doubt: &mut InDoubtBranches,
-    counters: &Counters,
-) -> Reply {
-    let Backend::Partition(engine) = backend else {
-        return Reply::Error {
-            message: "2PC prepare requires a partition instance backend".into(),
-        };
     };
-    if in_doubt.contains_key(&branch.gtid) {
-        return Reply::Error {
-            message: format!(
-                "gtid {} is already prepared on this connection",
-                branch.gtid
-            ),
-        };
-    }
-    park_prepare_outcome(
-        branch.gtid,
-        engine.prepare_branch(branch.gtid, &branch.req),
-        in_doubt,
-        counters,
-    )
+    reply.encode_frame(out);
+    islands_obs::metrics().record_txn(class, started.elapsed().as_nanos() as u64);
 }
 
-/// 2PC phase 1 for a multi-step *plan* branch on a locked partition
-/// backend: same protocol, same in-doubt map — a parked plan branch holds
+/// 2PC phase 1: execute the plan branch, force the prepare record, vote.
+/// The storage layer does the work; the [`Participant`] state machine
+/// enforces protocol order and rides along in the in-doubt map so phase 2
+/// can only happen on a genuinely prepared branch. A parked branch holds
 /// the locks guarding its dependent reads (range scans included) until the
 /// decision frame arrives on this connection.
 fn handle_prepare_plan(
@@ -982,33 +915,14 @@ fn handle_prepare_plan(
             message: "2PC prepare requires a partition instance backend".into(),
         };
     };
-    if in_doubt.contains_key(&branch.gtid) {
+    let gtid = branch.gtid;
+    if in_doubt.contains_key(&gtid) {
         return Reply::Error {
-            message: format!(
-                "gtid {} is already prepared on this connection",
-                branch.gtid
-            ),
+            message: format!("gtid {gtid} is already prepared on this connection"),
         };
     }
-    park_prepare_outcome(
-        branch.gtid,
-        engine.prepare_plan_branch(branch.gtid, &branch.plan),
-        in_doubt,
-        counters,
-    )
-}
-
-/// Shared phase-1 tail for micro and plan branches: map the engine's branch
-/// outcome to a vote, parking Yes-voters (with their [`Participant`] state
-/// machine) in the session's in-doubt map.
-fn park_prepare_outcome(
-    gtid: u64,
-    outcome: Result<BranchOutcome, StorageError>,
-    in_doubt: &mut InDoubtBranches,
-    counters: &Counters,
-) -> Reply {
     let mut participant = Participant::new(gtid);
-    match outcome {
+    match engine.prepare_plan_branch(gtid, &branch.plan) {
         Ok(BranchOutcome::Prepared(handle)) => {
             let ev = participant.on_prepare(true, true);
             debug_assert!(matches!(
@@ -1100,31 +1014,10 @@ fn handle_decision(
     }
 }
 
-/// 2PC phase 1 on a serial-executor backend: the branch executes and
-/// prepares on the partition's executor thread; a Yes vote parks it there
-/// (keyed by this session for the presumed-abort rule), so the session only
-/// relays the vote and keeps the gauges.
-fn handle_prepare_exec(exec: &ExecutorSession, branch: &TxnBranch, counters: &Counters) -> Reply {
-    match exec.prepare(branch.gtid, &branch.req) {
-        Ok(vote) => {
-            if vote == Vote::Yes {
-                counters.in_doubt.fetch_add(1, Ordering::Relaxed);
-            }
-            Reply::Vote {
-                gtid: branch.gtid,
-                vote,
-            }
-        }
-        Err(e) => Reply::Error {
-            message: e.to_string(),
-        },
-    }
-}
-
-/// 2PC phase 1 for a multi-step *plan* branch on a serial-executor backend:
-/// the branch (dependent reads and all) executes and parks on the
-/// partition's executor thread; the session relays the vote and keeps the
-/// gauges, exactly as for micro branches.
+/// 2PC phase 1 on a serial-executor backend: the branch (dependent reads
+/// and all) executes and prepares on the partition's executor thread; a Yes
+/// vote parks it there (keyed by this session for the presumed-abort rule),
+/// so the session only relays the vote and keeps the gauges.
 fn handle_prepare_plan_exec(
     exec: &ExecutorSession,
     branch: &PlanBranch,

@@ -10,7 +10,9 @@
 //! Client → server messages are [`Request`]s (submit a transaction, ping,
 //! drain); server → client messages are [`Reply`]s (committed/aborted with
 //! retry counts and server-side latency, protocol errors, pong, drain ack).
-//! Bodies reuse the [`TxnRequest`] byte codec from `islands-workload`.
+//! Bodies reuse the [`PlanRequest`]/[`PlanBranch`] byte codecs from
+//! `islands-workload`; `Submit` keeps the compact [`TxnRequest`] batch form,
+//! which the server lowers to a plan on arrival.
 //!
 //! The framing layer is streaming-friendly: [`FrameReader`] accumulates
 //! bytes from a socket and yields complete payloads. An *incomplete* frame
@@ -23,7 +25,7 @@ use std::io::{self, Read};
 
 use islands_dtxn::Vote;
 use islands_obs::Snapshot;
-use islands_workload::{CodecError, PlanBranch, PlanRequest, TxnBranch, TxnRequest};
+use islands_workload::{CodecError, PlanBranch, PlanRequest, TxnRequest};
 
 use crate::server::ServerStats;
 
@@ -35,12 +37,13 @@ pub const MAX_FRAME: usize = 64 * 1024;
 /// Bytes in the frame length prefix.
 pub const FRAME_HEADER: usize = 4;
 
-// Request tags (client -> server). 0x04/0x05 are the coordinator->participant
-// half of wire-level 2PC.
+// Request tags (client -> server). 0x08/0x05 are the coordinator->participant
+// half of wire-level 2PC. 0x04 is retired (it carried micro-batch prepare
+// branches, now sent as 0x08 plan branches) and is never reused: it decodes
+// as an unknown tag.
 const TAG_SUBMIT: u8 = 0x01;
 const TAG_PING: u8 = 0x02;
 const TAG_DRAIN: u8 = 0x03;
-const TAG_PREPARE: u8 = 0x04;
 const TAG_DECISION: u8 = 0x05;
 const TAG_STATS_REQUEST: u8 = 0x06;
 const TAG_SUBMIT_PLAN: u8 = 0x07;
@@ -136,23 +139,20 @@ impl From<WireError> for io::Error {
     }
 }
 
-/// Client → server message. `Prepare` and `Decision` are spoken by a 2PC
-/// coordinator to a participant instance; a server fronting a whole cluster
-/// answers them with [`Reply::Error`].
+/// Client → server message. `PreparePlan` and `Decision` are spoken by a
+/// 2PC coordinator to a participant instance; a server fronting a whole
+/// cluster answers them with [`Reply::Error`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Run this transaction to completion and report the outcome.
+    /// Run this micro batch to completion and report the outcome. The
+    /// compact encoding of a single-table plan: the server lowers it to its
+    /// [`PlanRequest`] and runs it exactly as [`Request::SubmitPlan`].
     Submit(TxnRequest),
     /// Liveness / latency-floor probe.
     Ping,
     /// Ask the server to stop accepting connections and shut down once
     /// in-flight work has drained.
     Drain,
-    /// 2PC phase 1: execute this branch, force the prepare record, and
-    /// answer with [`Reply::Vote`]. A Yes-voting participant holds the
-    /// branch in-doubt (locks included) until the decision arrives or the
-    /// connection dies (presumed abort).
-    Prepare(TxnBranch),
     /// 2PC phase 2: apply the coordinator's decision to the in-doubt branch
     /// and answer with [`Reply::Ack`]. An abort for an unknown gtid is
     /// acknowledged silently (presumed abort made it a no-op); a commit for
@@ -166,14 +166,15 @@ pub enum Request {
     /// Scrape the server's live counters and observability snapshot
     /// ([`Reply::Stats`]) without disturbing the run.
     Stats,
-    /// Run this multi-step transaction plan (TPC-C NewOrder/Payment or a
-    /// generic step list) to completion and report the outcome. The
-    /// multi-plan analogue of [`Request::Submit`].
+    /// Run this multi-step transaction plan (TPC-C NewOrder/Payment, a
+    /// lowered micro batch, or a generic step list) to completion and report
+    /// the outcome.
     SubmitPlan(PlanRequest),
-    /// 2PC phase 1 for one *plan* branch: the multi-step analogue of
-    /// [`Request::Prepare`]. A Yes-voting participant parks the branch —
-    /// including the locks guarding its dependent reads — until the
-    /// [`Request::Decision`] frame (phase 2 is shared with micro branches).
+    /// 2PC phase 1: execute this plan branch, force the prepare record, and
+    /// answer with [`Reply::Vote`]. A Yes-voting participant parks the
+    /// branch in-doubt — including the locks guarding its dependent reads —
+    /// until the [`Request::Decision`] frame arrives or the connection dies
+    /// (presumed abort).
     PreparePlan(PlanBranch),
     /// Scrape the audit sum (total committed row writes across every
     /// table) for consistency checks; answered with [`Reply::AuditSum`].
@@ -207,7 +208,7 @@ pub enum Reply {
     Pong,
     /// Answer to [`Request::Drain`]: shutdown is underway.
     Draining,
-    /// Answer to [`Request::Prepare`]: the participant's phase-1 vote.
+    /// Answer to [`Request::PreparePlan`]: the participant's phase-1 vote.
     Vote {
         /// Global transaction id the vote is for.
         gtid: u64,
@@ -311,10 +312,6 @@ impl WireMessage for Request {
             }
             Request::Ping => buf.push(TAG_PING),
             Request::Drain => buf.push(TAG_DRAIN),
-            Request::Prepare(branch) => {
-                buf.push(TAG_PREPARE);
-                branch.encode_into(buf);
-            }
             Request::Decision { gtid, commit } => {
                 buf.push(TAG_DECISION);
                 buf.extend_from_slice(&gtid.to_le_bytes());
@@ -352,11 +349,6 @@ impl WireMessage for Request {
             TAG_DRAIN => {
                 exactly(tag, body, 0)?;
                 Ok(Request::Drain)
-            }
-            TAG_PREPARE => {
-                let (branch, used) = TxnBranch::decode_from(body)?;
-                exactly(tag, body, used)?;
-                Ok(Request::Prepare(branch))
             }
             TAG_DECISION => {
                 exactly(tag, body, 9)?;
@@ -712,13 +704,13 @@ mod tests {
             submit(&[1, 2, 3]),
             Request::Ping,
             Request::Drain,
-            Request::Prepare(TxnBranch {
+            Request::PreparePlan(PlanBranch {
                 gtid: 42,
-                req: TxnRequest {
+                plan: PlanRequest::from(&TxnRequest {
                     kind: OpKind::Update,
                     keys: vec![9, 10],
                     multisite: true,
-                },
+                }),
             }),
             Request::Decision {
                 gtid: u64::MAX,
@@ -870,6 +862,29 @@ mod tests {
         let mut rd = FrameReader::new();
         rd.extend(&0u32.to_le_bytes());
         assert_eq!(rd.next_payload(), Err(WireError::EmptyFrame));
+    }
+
+    #[test]
+    fn retired_micro_prepare_tag_decodes_as_unknown() {
+        // 0x04 carried the micro-batch prepare branch (gtid + batch). A frame
+        // in that shape, from an old coordinator, must be refused as an
+        // unknown tag, never read as some other message.
+        let mut payload = vec![0x04];
+        payload.extend_from_slice(&42u64.to_le_bytes());
+        TxnRequest {
+            kind: OpKind::Update,
+            keys: vec![9, 10],
+            multisite: true,
+        }
+        .encode_into(&mut payload);
+        assert_eq!(
+            Request::decode_payload(&payload),
+            Err(WireError::UnknownTag(0x04))
+        );
+        assert_eq!(
+            Request::decode_payload(&[0x04]),
+            Err(WireError::UnknownTag(0x04))
+        );
     }
 
     #[test]

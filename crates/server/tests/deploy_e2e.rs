@@ -12,8 +12,9 @@ use islands_server::deploy::{
     Transport,
 };
 use islands_server::{Client, Endpoint, EngineMode, Reply, Request};
+use islands_workload::plan::{PlanClass, PlanStep, StepOp, MICRO_TABLE, TPCC_WAREHOUSE};
 use islands_workload::tpcc::{NewOrder, Payment};
-use islands_workload::{OpKind, TxnBranch, TxnRequest};
+use islands_workload::{OpKind, PlanBranch, PlanRequest, TxnRequest};
 
 fn config(instances: usize, transport: Transport) -> DeployConfig {
     DeployConfig {
@@ -194,9 +195,9 @@ fn coordinator_crash_between_prepare_and_decision_leaves_no_leak() {
     {
         let mut coord = Client::connect(&deploy.endpoint(0)).unwrap();
         coord
-            .send_request(&Request::Prepare(TxnBranch {
+            .send_request(&Request::PreparePlan(PlanBranch {
                 gtid: 77,
-                req: update(&[5]),
+                plan: PlanRequest::from(&update(&[5])),
             }))
             .unwrap();
         match coord.recv_reply().unwrap() {
@@ -437,6 +438,76 @@ fn tpcc_neworder_and_remote_payment_audit_consistent_in_both_engines() {
 }
 
 #[test]
+fn unroutable_requests_are_typed_errors_not_coordinator_panics() {
+    // Input the deployment does not serve must come back as a typed
+    // ServerError from the coordinator's routing, before any frame leaves:
+    // no panic in this (the client) process, nothing sent to an instance
+    // (each instance ends with zero errors), and the client stays usable.
+    let plan = |table: u32, key: u64| PlanRequest {
+        class: PlanClass::Generic,
+        multisite: false,
+        steps: vec![PlanStep::point(table, key, StepOp::Update)],
+    };
+    let assert_refused = |reply: DeployReply, what: &str| match reply {
+        DeployReply::ServerError(message) => assert!(!message.is_empty(), "{what}"),
+        other => panic!("{what}: expected a ServerError, got {other:?}"),
+    };
+
+    let tpcc = Arc::new(
+        Deployment::spawn(&DeployConfig {
+            workload: DeployWorkload::Tpcc { warehouses: 2 },
+            ..config(2, Transport::Uds)
+        })
+        .unwrap(),
+    );
+    let micro = Arc::new(Deployment::spawn(&config(2, Transport::Uds)).unwrap());
+    let mut tpcc_client = tpcc.client().unwrap();
+    let mut micro_client = micro.client().unwrap();
+
+    assert_refused(
+        tpcc_client.submit_plan(&plan(MICRO_TABLE, 3)).unwrap(),
+        "micro-table plan on a TPC-C deployment",
+    );
+    assert_refused(
+        tpcc_client
+            .submit_plan(&plan(TPCC_WAREHOUSE, 1000))
+            .unwrap(),
+        "warehouse 1000 of 2",
+    );
+    assert_refused(
+        tpcc_client.submit(&update(&[3, 42])).unwrap(),
+        "micro batch on a TPC-C deployment",
+    );
+    assert_refused(
+        micro_client.submit_plan(&plan(TPCC_WAREHOUSE, 1)).unwrap(),
+        "TPC-C plan on a micro deployment",
+    );
+
+    // Routable work still runs on the same clients afterwards.
+    assert!(outcome(tpcc_client.submit_plan(&plan(TPCC_WAREHOUSE, 1)).unwrap()).committed);
+    assert!(outcome(micro_client.submit(&update(&[3, 250])).unwrap()).committed);
+
+    drop(tpcc_client);
+    drop(micro_client);
+    for deploy in [tpcc, micro] {
+        let reports = Arc::try_unwrap(deploy)
+            .ok()
+            .expect("no other refs")
+            .shutdown();
+        for r in &reports {
+            assert!(r.clean, "instance {} unclean: {}", r.index, r.detail);
+            let stats = r.stats.expect("stats parsed");
+            assert_eq!(stats.in_doubt, 0);
+            assert_eq!(
+                stats.errors, 0,
+                "a refused request reached instance {}",
+                r.index
+            );
+        }
+    }
+}
+
+#[test]
 fn resolver_socket_answers_decided_commit_and_presumes_abort_for_unknown() {
     // The in-doubt resolution wire path in isolation: a deployment with a
     // WAL directory exposes the coordinator's resolver socket, which must
@@ -558,9 +629,9 @@ fn killed_participant_rejoins_and_resolves_in_doubt_in_both_engines() {
         // connected keeps the branch in doubt until the SIGKILL.
         let mut zombie = Client::connect(&deploy.endpoint(1)).unwrap();
         zombie
-            .send_request(&Request::Prepare(TxnBranch {
+            .send_request(&Request::PreparePlan(PlanBranch {
                 gtid: 9001,
-                req: update(&[370]),
+                plan: PlanRequest::from(&update(&[370])),
             }))
             .unwrap();
         match zombie.recv_reply().unwrap() {

@@ -13,7 +13,7 @@ use islands_core::native::{
 use islands_server::{
     Backend, Client, ClientPool, Endpoint, Reply, Request, Server, ServerConfig, ServerHandle,
 };
-use islands_workload::{OpKind, TxnBranch, TxnRequest};
+use islands_workload::{OpKind, PlanBranch, PlanRequest, TxnRequest};
 
 static NEXT_SOCK: AtomicU32 = AtomicU32::new(0);
 
@@ -284,14 +284,15 @@ fn spawn_partition(lo: u64, hi: u64) -> (std::sync::Arc<PartitionEngine>, Server
     (engine, handle)
 }
 
+/// A micro update branch, shipped as its plan lowering.
 fn prepare(gtid: u64, keys: &[u64]) -> Request {
-    Request::Prepare(TxnBranch {
+    Request::PreparePlan(PlanBranch {
         gtid,
-        req: TxnRequest {
+        plan: PlanRequest::from(&TxnRequest {
             kind: OpKind::Update,
             keys: keys.to_vec(),
             multisite: true,
-        },
+        }),
     })
 }
 
@@ -329,13 +330,13 @@ fn partition_backend_runs_wire_level_2pc_phase_by_phase() {
 
     // Read-only branch: ReadOnly vote, no phase 2 required.
     coord
-        .send_request(&Request::Prepare(TxnBranch {
+        .send_request(&Request::PreparePlan(PlanBranch {
             gtid: 8,
-            req: TxnRequest {
+            plan: PlanRequest::from(&TxnRequest {
                 kind: OpKind::Read,
                 keys: vec![5],
                 multisite: true,
-            },
+            }),
         }))
         .unwrap();
     match coord.recv_reply().unwrap() {

@@ -1,4 +1,4 @@
-//! Property tests dedicated to the 2PC wire frames (`Prepare`, `Decision`,
+//! Property tests dedicated to the 2PC wire frames (`PreparePlan`, `Decision`,
 //! `Vote`, `Ack`): exact round trips, byte-level corruption of the decision
 //! and vote fields, truncation, size-field abuse, and direction confusion —
 //! a coordinator frame fed to a client-side decoder must be a typed error.
@@ -10,22 +10,24 @@
 use islands_dtxn::Vote;
 use islands_server::wire::{FrameReader, Reply, Request, WireError, WireMessage, FRAME_HEADER};
 use islands_server::MAX_FRAME;
-use islands_workload::{OpKind, TxnBranch, TxnRequest};
+use islands_workload::{OpKind, PlanBranch, PlanRequest, TxnRequest};
 use proptest::prelude::*;
 
-fn branch() -> impl Strategy<Value = TxnBranch> {
+/// A micro-batch 2PC branch as the coordinator ships it: the batch's plan
+/// lowering under a gtid.
+fn branch() -> impl Strategy<Value = PlanBranch> {
     (
         any::<u64>(),
         any::<bool>(),
         prop::collection::vec(any::<u64>(), 1..40),
     )
-        .prop_map(|(gtid, update, keys)| TxnBranch {
+        .prop_map(|(gtid, update, keys)| PlanBranch {
             gtid,
-            req: TxnRequest {
+            plan: PlanRequest::from(&TxnRequest {
                 kind: if update { OpKind::Update } else { OpKind::Read },
                 keys,
                 multisite: true,
-            },
+            }),
         })
 }
 
@@ -45,8 +47,8 @@ proptest! {
 
     #[test]
     fn prepare_branches_round_trip(b in branch()) {
-        let payload = payload_of(&Request::Prepare(b.clone()));
-        prop_assert_eq!(Request::decode_payload(&payload), Ok(Request::Prepare(b)));
+        let payload = payload_of(&Request::PreparePlan(b.clone()));
+        prop_assert_eq!(Request::decode_payload(&payload), Ok(Request::PreparePlan(b)));
     }
 
     #[test]
@@ -97,7 +99,7 @@ proptest! {
     #[test]
     fn truncated_twopc_frames_never_decode(b in branch(), cut_seed in any::<u64>()) {
         let mut frame = Vec::new();
-        Request::Prepare(b).encode_frame(&mut frame);
+        Request::PreparePlan(b).encode_frame(&mut frame);
         let cut = (cut_seed % (frame.len() - 1) as u64) as usize + 1; // 1..len
         let mut rd = FrameReader::new();
         rd.extend(&frame[..cut]);
@@ -132,7 +134,7 @@ proptest! {
     /// confused peer fails loudly instead of misreading a gtid.
     #[test]
     fn twopc_frames_do_not_cross_directions(b in branch(), gtid in any::<u64>(), v in vote()) {
-        let prep = payload_of(&Request::Prepare(b));
+        let prep = payload_of(&Request::PreparePlan(b));
         prop_assert_eq!(Reply::decode_payload(&prep), Err(WireError::UnknownTag(prep[0])));
         let vote = payload_of(&Reply::Vote { gtid, vote: v });
         prop_assert_eq!(Request::decode_payload(&vote), Err(WireError::UnknownTag(vote[0])));

@@ -7,9 +7,7 @@ use islands_dtxn::Vote;
 use islands_obs::{HistSnapshot, Snapshot, BUCKETS, NCATS, NCLASSES};
 use islands_server::wire::{FrameReader, Reply, Request, WireError, WireMessage, FRAME_HEADER};
 use islands_server::{ServerStats, MAX_FRAME};
-use islands_workload::{
-    OpKind, PlanBranch, PlanClass, PlanRequest, PlanStep, StepOp, TxnBranch, TxnRequest,
-};
+use islands_workload::{OpKind, PlanBranch, PlanClass, PlanRequest, PlanStep, StepOp, TxnRequest};
 use proptest::prelude::*;
 
 fn txn_request() -> impl Strategy<Value = TxnRequest> {
@@ -66,8 +64,10 @@ fn request() -> impl Strategy<Value = Request> {
         Just(Request::Drain),
         Just(Request::Stats),
         Just(Request::Audit),
-        (any::<u64>(), txn_request())
-            .prop_map(|(gtid, req)| Request::Prepare(TxnBranch { gtid, req })),
+        (any::<u64>(), txn_request()).prop_map(|(gtid, req)| Request::PreparePlan(PlanBranch {
+            gtid,
+            plan: PlanRequest::from(&req)
+        })),
         (any::<u64>(), any::<bool>()).prop_map(|(gtid, commit)| Request::Decision { gtid, commit }),
         plan_request().prop_map(Request::SubmitPlan),
         (any::<u64>(), plan_request())

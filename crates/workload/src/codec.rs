@@ -156,57 +156,6 @@ impl TxnRequest {
     }
 }
 
-/// One participant's share of a distributed transaction: the global
-/// transaction id plus the sub-request (the keys this participant owns).
-///
-/// This is the body a 2PC `Prepare` frame carries over the wire: the
-/// coordinator splits a multisite [`TxnRequest`] by owning instance and
-/// ships each instance its branch. Encoding is the gtid (u64 LE) followed
-/// by the embedded request's own codec, so the same total-decode guarantees
-/// apply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TxnBranch {
-    /// Global (distributed) transaction id, unique per 2PC attempt.
-    pub gtid: u64,
-    /// The operations this participant must execute and prepare.
-    pub req: TxnRequest,
-}
-
-impl TxnBranch {
-    /// Exact encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        8 + self.req.encoded_len()
-    }
-
-    /// Append the byte form to `buf`.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.gtid.to_le_bytes());
-        self.req.encode_into(buf);
-    }
-
-    /// Decode a branch from the front of `bytes`; returns the branch and the
-    /// number of bytes consumed.
-    pub fn decode_from(bytes: &[u8]) -> Result<(Self, usize), CodecError> {
-        if bytes.len() < 8 {
-            return Err(CodecError::Truncated {
-                needed: 8,
-                had: bytes.len(),
-            });
-        }
-        let gtid = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-        let (req, used) = TxnRequest::decode_from(&bytes[8..]).map_err(|e| match e {
-            // Report shortfalls against the whole branch, not the embedded
-            // request, so `needed > had` stays true for the caller.
-            CodecError::Truncated { needed, had } => CodecError::Truncated {
-                needed: needed + 8,
-                had: had + 8,
-            },
-            other => other,
-        })?;
-        Ok((TxnBranch { gtid, req }, 8 + used))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,29 +228,6 @@ mod tests {
             TxnRequest::decode_from(&bad_flag),
             Err(CodecError::BadFlag(2))
         );
-    }
-
-    #[test]
-    fn branch_round_trips_and_reports_truncation_against_whole_frame() {
-        let branch = TxnBranch {
-            gtid: 0xDEAD_BEEF_0042,
-            req: req(OpKind::Update, &[7, 300, 9_000], true),
-        };
-        let mut buf = Vec::new();
-        branch.encode_into(&mut buf);
-        assert_eq!(buf.len(), branch.encoded_len());
-        let (back, used) = TxnBranch::decode_from(&buf).unwrap();
-        assert_eq!(back, branch);
-        assert_eq!(used, buf.len());
-        for cut in 0..buf.len() {
-            match TxnBranch::decode_from(&buf[..cut]) {
-                Err(CodecError::Truncated { needed, had }) => {
-                    assert_eq!(had, cut);
-                    assert!(needed > cut, "needed {needed} at cut {cut}");
-                }
-                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
-            }
-        }
     }
 
     #[test]

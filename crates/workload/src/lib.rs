@@ -25,7 +25,7 @@ pub mod spec;
 pub mod tpcc;
 pub mod zipf;
 
-pub use codec::{CodecError, TxnBranch, MAX_KEYS_PER_REQUEST};
+pub use codec::{CodecError, MAX_KEYS_PER_REQUEST};
 pub use plan::{PlanBranch, PlanClass, PlanRequest, PlanStep, StepOp, MAX_STEPS_PER_PLAN};
 pub use spec::{MicroGenerator, MicroSpec, OpKind, TxnRequest};
 pub use tpcc::{TpccGenerator, TpccSpec};

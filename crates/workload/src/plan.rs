@@ -1,6 +1,6 @@
 //! Multi-step transaction plans: the generalized request model.
 //!
-//! [`TxnRequest`](crate::TxnRequest) describes one *batch* — N keys, one
+//! [`TxnRequest`] describes one *batch* — N keys, one
 //! operation kind, one table. That shape cannot express TPC-C: Payment
 //! touches four tables with different operations per row, NewOrder inserts
 //! into one table while updating another, and 60 % of Payments locate the
@@ -8,7 +8,9 @@
 //! request model to an ordered list of [`PlanStep`]s, each naming its table,
 //! key, operation, and (for range reads) a span — enough to express every
 //! workload in the paper's evaluation while staying a flat, byte-codable
-//! value a server can decode straight off a socket.
+//! value a server can decode straight off a socket. A batch is the special
+//! case of one point step per key over [`MICRO_TABLE`]; `PlanRequest::from`
+//! is that lowering, and every served layer executes only plans.
 //!
 //! ## Byte form
 //!
@@ -36,6 +38,7 @@
 //! the 8-byte gtid of a [`PlanBranch`].
 
 use crate::codec::CodecError;
+use crate::spec::{OpKind, TxnRequest};
 
 /// Upper bound on steps per plan: a decoder-side guard against a hostile or
 /// corrupt count causing a giant allocation, sized so a maximal plan still
@@ -234,6 +237,16 @@ impl PlanRequest {
         out
     }
 
+    /// Whether any step covers row `key` of `table` (range reads included):
+    /// the conflict test against one parked `(table, key)` pair, walking the
+    /// steps in place instead of materializing
+    /// [`conflict_keys`](Self::conflict_keys).
+    pub fn touches(&self, table: u32, key: u64) -> bool {
+        self.steps
+            .iter()
+            .any(|s| s.table == table && key.wrapping_sub(s.key) < s.rows())
+    }
+
     /// Append the byte form to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         debug_assert!(self.steps.len() <= MAX_STEPS_PER_PLAN as usize);
@@ -310,9 +323,31 @@ impl PlanRequest {
     }
 }
 
+/// The one lowering of a micro batch into the plan model: one point step
+/// per key over [`MICRO_TABLE`], in key order, keeping the batch's op and
+/// `multisite` flag. Every served layer executes the result, so a batch and
+/// its plan are the same transaction.
+impl From<&TxnRequest> for PlanRequest {
+    fn from(req: &TxnRequest) -> Self {
+        let op = match req.kind {
+            OpKind::Read => StepOp::Read,
+            OpKind::Update => StepOp::Update,
+        };
+        PlanRequest {
+            class: PlanClass::Generic,
+            multisite: req.multisite,
+            steps: req
+                .keys
+                .iter()
+                .map(|&key| PlanStep::point(MICRO_TABLE, key, op))
+                .collect(),
+        }
+    }
+}
+
 /// One participant's share of a distributed plan: the global transaction id
 /// plus the steps this participant owns — the body of a 2PC `PreparePlan`
-/// frame, mirroring [`crate::TxnBranch`] for batches.
+/// frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanBranch {
     /// Global (distributed) transaction id, unique per 2PC attempt.
@@ -510,6 +545,50 @@ mod tests {
         // arithmetic here keeps the two from drifting apart silently).
         let max = PLAN_HEADER + STEP_LEN * MAX_STEPS_PER_PLAN as usize + 8;
         assert!(max <= 64 * 1024 - 5, "maximal plan branch over frame cap");
+    }
+
+    #[test]
+    fn micro_lowering_keeps_key_order_op_and_multisite() {
+        for (kind, op) in [
+            (OpKind::Read, StepOp::Read),
+            (OpKind::Update, StepOp::Update),
+        ] {
+            for multisite in [false, true] {
+                let req = TxnRequest {
+                    kind,
+                    keys: vec![9, 3, u64::MAX, 0],
+                    multisite,
+                };
+                let plan = PlanRequest::from(&req);
+                assert_eq!(plan.class, PlanClass::Generic);
+                assert_eq!(plan.multisite, multisite);
+                let keys: Vec<u64> = plan.steps.iter().map(|s| s.key).collect();
+                assert_eq!(keys, req.keys, "key order survives the lowering");
+                assert!(plan
+                    .steps
+                    .iter()
+                    .all(|s| s.table == MICRO_TABLE && s.op == op && s.span == 0));
+                let updates = if kind == OpKind::Update {
+                    req.keys.len()
+                } else {
+                    0
+                };
+                assert_eq!(plan.write_rows(), updates as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn touches_agrees_with_conflict_keys() {
+        let p = payment_like();
+        for &(t, k) in &p.conflict_keys() {
+            assert!(p.touches(t, k), "({t}, {k}) is in the footprint");
+        }
+        // Just past the scan, the scan's row in another table, and a key
+        // below a step (wrapping subtraction must not alias it in).
+        assert!(!p.touches(TPCC_CUSTOMER, 99_004));
+        assert!(!p.touches(TPCC_STOCK, 99_001));
+        assert!(!p.touches(TPCC_CUSTOMER, 98_999));
     }
 
     #[test]
