@@ -51,13 +51,18 @@ OPTIONS:
                         {0,20,80}% (explicit flags still win)
   --engine LIST         comma-separated engine modes to sweep: locked
                         (sessions execute inline under 2PL) and/or serial
-                        (one pinned executor thread per partition, no
+                        (one transaction at a time per partition, no
                         lock table on local transactions; default locked).
                         Listing both prints the locked-vs-serial
                         comparison per granularity
   --assert-serial-wins  with both engines swept, exit nonzero unless the
                         serial engine beats the locked engine's committed
                         throughput in every 0%-multisite cell
+  --trials N            run every cell N times (default 1) and report each
+                        cell's median-throughput trial (the lower median
+                        for even N); trials run round-robin over the
+                        cells, so the two engines' trials at a point
+                        interleave in time and host noise hits both alike
   --workload micro|tpcc micro (default): single-shot read/update batches;
                         tpcc: NewOrder/Payment multi-step plans partitioned
                         by warehouse — the --multisite axis becomes the
@@ -84,6 +89,10 @@ OPTIONS:
   --rows N              total rows loaded/partitioned (default 40000)
   --retry-limit N       server-side retry budget per txn (default 64)
   --pin on|off          pin instance processes via taskset (default on)
+  --wal DIR             durable cells: each cell's instances write file WALs
+                        and the coordinator forces its decision log under a
+                        fresh DIR/<cell>/ (removed after the cell); default
+                        is the volatile memory log device
   --json PATH           islands-sweep/1 output (default BENCH_sweep.json)
   --markdown PATH       also write the Markdown table to PATH
   --scrape-out PATH     write the raw per-instance islands-obs/1 snapshot
@@ -103,6 +112,7 @@ struct Args {
     quick: bool,
     engines: Vec<EngineMode>,
     assert_serial_wins: bool,
+    trials: usize,
     workload: String,
     warehouses: u64,
     transport: String,
@@ -117,6 +127,7 @@ struct Args {
     rows: u64,
     retry_limit: u32,
     pin: bool,
+    wal: Option<std::path::PathBuf>,
     json: String,
     markdown: Option<String>,
     scrape_out: Option<String>,
@@ -130,6 +141,7 @@ impl Default for Args {
             quick: false,
             engines: vec![EngineMode::Locked],
             assert_serial_wins: false,
+            trials: 1,
             workload: "micro".into(),
             warehouses: 0,
             transport: "uds".into(),
@@ -144,6 +156,7 @@ impl Default for Args {
             rows: 40_000,
             retry_limit: 64,
             pin: true,
+            wal: None,
             json: "BENCH_sweep.json".into(),
             markdown: None,
             scrape_out: None,
@@ -195,6 +208,7 @@ fn parse_args() -> Result<Args, String> {
                 args.engines = engines;
             }
             "--assert-serial-wins" => args.assert_serial_wins = true,
+            "--trials" => args.trials = num(&value("--trials")?)?,
             "--workload" => args.workload = value("--workload")?,
             "--warehouses" => args.warehouses = num(&value("--warehouses")?)?,
             "--transport" => args.transport = value("--transport")?,
@@ -221,6 +235,7 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("--pin on|off, got {other}")),
                 }
             }
+            "--wal" => args.wal = Some(value("--wal")?.into()),
             "--json" => args.json = value("--json")?,
             "--markdown" => args.markdown = Some(value("--markdown")?),
             "--scrape-out" => args.scrape_out = Some(value("--scrape-out")?),
@@ -275,6 +290,9 @@ fn parse_args() -> Result<Args, String> {
             return Err("--instances entries must be >= 1".into());
         }
     }
+    if args.trials == 0 {
+        return Err("--trials must be >= 1".into());
+    }
     if !(0.0..=1.0).contains(&args.tolerance) {
         return Err("--tolerance must be 0-1".into());
     }
@@ -325,6 +343,9 @@ struct Cell {
     scrapes: Vec<(ServerStats, Snapshot)>,
     /// The instance snapshots merged — the cell's Fig. 11 breakdown.
     obs: Snapshot,
+    /// Committed throughput of every trial of this cell, ascending; the
+    /// cell itself is the median one.
+    trial_tps: Vec<f64>,
 }
 
 impl Cell {
@@ -386,6 +407,24 @@ fn run_cell(
         Transport::Uds
     };
     let tpcc = args.workload == "tpcc";
+    // A durable cell starts from an empty directory of its own: a WAL left
+    // by an earlier cell would be replayed as a previous incarnation.
+    let wal_dir = match &args.wal {
+        Some(root) => {
+            let dir = root.join(format!(
+                "{engine}-{}-x{}-ms{pct}-s{sites}-z{skew}",
+                config.label, config.instances
+            ));
+            match std::fs::remove_dir_all(&dir) {
+                Ok(()) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(format!("clear {}: {e}", dir.display())),
+            }
+            std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+            Some(dir)
+        }
+        None => None,
+    };
     let deployment = Deployment::spawn(&DeployConfig {
         instances: config.instances,
         transport,
@@ -400,6 +439,7 @@ fn run_cell(
         },
         pin: args.pin,
         spawn: SpawnMode::SelfExec,
+        wal_dir: wal_dir.clone(),
         ..Default::default()
     })
     .map_err(|e| format!("spawn {} x{}: {e}", config.label, config.instances))?;
@@ -441,6 +481,9 @@ fn run_cell(
         .ok()
         .expect("all drive clients joined");
     let teardown = shutdown_deployment(deployment);
+    if let Some(dir) = &wal_dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     Ok(Cell {
         label: config.label.clone(),
         instances: config.instances,
@@ -456,7 +499,23 @@ fn run_cell(
         pinned,
         scrapes,
         obs,
+        trial_tps: Vec::new(),
     })
+}
+
+/// The median-throughput trial of one cell (the lower median for an even
+/// count), carrying every trial's throughput.
+fn median_trial(mut trials: Vec<Cell>) -> Option<Cell> {
+    trials.sort_by(|a, b| {
+        a.result
+            .throughput_tps()
+            .total_cmp(&b.result.throughput_tps())
+    });
+    let tps: Vec<f64> = trials.iter().map(|c| c.result.throughput_tps()).collect();
+    let mid = trials.len().checked_sub(1)? / 2;
+    let mut cell = trials.swap_remove(mid);
+    cell.trial_tps = tps;
+    Some(cell)
 }
 
 fn class_tput(t: &ClassTally, cell: &Cell) -> f64 {
@@ -544,7 +603,7 @@ fn cell_json(c: &Cell) -> String {
          \"sites\":{},\
          \"skew\":{},\"committed\":{},\"throughput_tps\":{:.1},\
          \"coordinator_presumed_aborts\":{},\"unclean_instances\":{},\"in_doubt_leaks\":{},\
-         \"client_failures\":{},\"pinned\":{},\"elapsed_secs\":{:.3},{},\
+         \"client_failures\":{},\"pinned\":{},\"elapsed_secs\":{:.3},\"trial_tps\":[{}],{},\
          \"local\":{},\"multisite\":{}{tpcc_classes},\"instance_exits\":[{}]}}",
         c.workload,
         c.warehouses,
@@ -562,6 +621,11 @@ fn cell_json(c: &Cell) -> String {
         c.result.client_failures,
         c.pinned,
         c.result.elapsed.as_secs_f64(),
+        c.trial_tps
+            .iter()
+            .map(|t| format!("{t:.1}"))
+            .collect::<Vec<_>>()
+            .join(","),
         // The merged obs snapshot's flat fields (breakdown percentages,
         // per-class latency hists, 2PC phase hists) sit at top level,
         // before the nested class objects, so jsonscan reads them exactly.
@@ -632,14 +696,16 @@ fn write_json(
     out.push_str(&format!(
         "  \"config\": {{\"workload\":\"{}\",\"warehouses\":{warehouses},\
          \"transport\":\"{}\",\"engines\":[{engines}],\
-         \"clients\":{clients},\"secs\":{secs},\
+         \"clients\":{clients},\"secs\":{secs},\"trials\":{},\
          \"kind\":\"{}\",\"rows_per_txn\":{},\"rows\":{},\"n_sites\":{n_sites},\
-         \"quick\":{}}},\n",
+         \"log_device\":\"{}\",\"quick\":{}}},\n",
         args.workload,
         args.transport,
+        args.trials,
         args.kind.label(),
         args.rows_per_txn,
         args.rows,
+        if args.wal.is_some() { "file" } else { "memory" },
         args.quick,
     ));
     out.push_str(&format!(
@@ -769,7 +835,11 @@ fn engine_comparison(cells: &[Cell]) -> Vec<(String, f64, f64, f64)> {
             sites_label(locked.sites),
             locked.skew,
         );
-        println!("  {point}: locked {l:.0} serial {s:.0} (serial/locked {ratio:.2}x)");
+        let trials = match locked.trial_tps.len() {
+            0 | 1 => String::new(),
+            n => format!(", medians of {n} trials"),
+        };
+        println!("  {point}: locked {l:.0} serial {s:.0} (serial/locked {ratio:.2}x{trials})");
         if locked.multisite_pct == 0.0 {
             zero_pct_pairs.push((point, l, s, ratio));
         }
@@ -921,7 +991,7 @@ fn run() -> Result<(), String> {
     println!(
         "islands-sweep: host {} socket(s) x {} core(s); workload={}; {} config(s) x \
          {} engine(s) x {} multisite x {} sites x {} skew = {total_cells} cells \
-         ({} clients, {secs}s each, {scale})",
+         ({} clients, {secs}s each, {scale}, {} log)",
         topo.machine.sockets,
         topo.machine.total_cores(),
         args.workload,
@@ -931,57 +1001,72 @@ fn run() -> Result<(), String> {
         args.sites.len(),
         args.skews.len(),
         clients,
+        if args.wal.is_some() { "file" } else { "memory" },
     );
     for c in &configs {
         println!("  config {}: {} instance process(es)", c.label, c.instances);
     }
 
-    let mut cells: Vec<Cell> = Vec::with_capacity(total_cells);
+    // Trial-major order: every cell runs once before any runs again, so the
+    // trials of the two engines at one point interleave in time and a burst
+    // of host noise lands on both rather than on one.
+    let mut trials: Vec<Vec<Cell>> = (0..total_cells).map(|_| Vec::new()).collect();
     let mut cell_errors: Vec<String> = Vec::new();
-    for (config, engine, pct, sites, skew) in plan {
-        // Seed from the *attempt* index (completed + failed), so a failed
-        // cell does not shift every later cell onto a reused seed and
-        // break run-to-run reproducibility.
-        let attempt = (cells.len() + cell_errors.len()) as u64 + 1;
-        let seed = 0x5eed ^ (attempt * 0x9e37_79b9);
-        print!(
-            "cell {attempt}/{total_cells}: {} x{} engine={engine} multisite={pct}% \
-             sites={} skew={skew} ... ",
-            config.label,
-            config.instances,
-            sites_label(sites),
-        );
-        std::io::stdout().flush().ok();
-        match run_cell(
-            &args, config, engine, warehouses, pct, sites, skew, n_sites, clients, secs, seed,
-        ) {
-            Ok(cell) => {
-                let breakout = if cell.workload == "tpcc" {
-                    format!(
-                        " (neworder {:.0}, pay-local {:.0}, pay-multi {:.0})",
-                        class_tput(&cell.result.neworder, &cell),
-                        class_tput(&cell.result.payment_local, &cell),
-                        class_tput(&cell.result.payment_multisite, &cell),
-                    )
-                } else {
-                    String::new()
-                };
-                println!(
-                    "{:.0} tps (local {:.0}, multi {:.0}){breakout}, leaks={}, {}",
-                    cell.result.throughput_tps(),
-                    class_tput(&cell.result.local, &cell),
-                    class_tput(&cell.result.multi, &cell),
-                    cell.teardown.in_doubt_leaks,
-                    if cell.clean() { "clean" } else { "UNCLEAN" },
-                );
-                cells.push(cell);
-            }
-            Err(e) => {
-                println!("FAILED: {e}");
-                cell_errors.push(e);
+    for trial in 1..=args.trials {
+        let tag = if args.trials > 1 {
+            format!(" trial {trial}/{}", args.trials)
+        } else {
+            String::new()
+        };
+        for (i, &(config, engine, pct, sites, skew)) in plan.iter().enumerate() {
+            // Seed from the cell's plan index: every trial of a cell replays
+            // the same request stream, and a failed cell does not shift
+            // later cells onto a reused seed.
+            let seed = 0x5eed ^ ((i as u64 + 1) * 0x9e37_79b9);
+            print!(
+                "cell {}/{total_cells}{tag}: {} x{} engine={engine} multisite={pct}% \
+                 sites={} skew={skew} ... ",
+                i + 1,
+                config.label,
+                config.instances,
+                sites_label(sites),
+            );
+            std::io::stdout().flush().ok();
+            match run_cell(
+                &args, config, engine, warehouses, pct, sites, skew, n_sites, clients, secs, seed,
+            ) {
+                Ok(cell) => {
+                    let breakout = if cell.workload == "tpcc" {
+                        format!(
+                            " (neworder {:.0}, pay-local {:.0}, pay-multi {:.0})",
+                            class_tput(&cell.result.neworder, &cell),
+                            class_tput(&cell.result.payment_local, &cell),
+                            class_tput(&cell.result.payment_multisite, &cell),
+                        )
+                    } else {
+                        String::new()
+                    };
+                    println!(
+                        "{:.0} tps (local {:.0}, multi {:.0}){breakout}, leaks={}, {}",
+                        cell.result.throughput_tps(),
+                        class_tput(&cell.result.local, &cell),
+                        class_tput(&cell.result.multi, &cell),
+                        cell.teardown.in_doubt_leaks,
+                        if cell.clean() { "clean" } else { "UNCLEAN" },
+                    );
+                    trials[i].push(cell);
+                }
+                Err(e) => {
+                    println!("FAILED: {e}");
+                    cell_errors.push(e);
+                }
             }
         }
     }
+    // An unclean trial fails the run below however its cell's median
+    // falls, so no noisy trial can hide one.
+    let unclean_trials = trials.iter().flatten().filter(|c| !c.clean()).count();
+    let cells: Vec<Cell> = trials.into_iter().filter_map(median_trial).collect();
 
     println!();
     let table = markdown_table(&cells);
@@ -1007,11 +1092,10 @@ fn run() -> Result<(), String> {
     if !cell_errors.is_empty() {
         return Err(format!("{} cell(s) failed to run", cell_errors.len()));
     }
-    let unclean: Vec<&Cell> = cells.iter().filter(|c| !c.clean()).collect();
-    if !unclean.is_empty() {
+    if unclean_trials > 0 {
         return Err(format!(
-            "{} cell(s) unclean (instance exits, leaks, client failures, or zero commits)",
-            unclean.len()
+            "{unclean_trials} cell run(s) unclean (instance exits, leaks, client failures, \
+             or zero commits)"
         ));
     }
     if let Some(baseline) = &args.baseline {

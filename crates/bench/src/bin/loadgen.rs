@@ -55,7 +55,7 @@ OPTIONS:
   --engine locked|serial
                         how spawned instance processes execute (proc mode):
                         locked (default) runs sessions inline under 2PL;
-                        serial runs one pinned executor thread per
+                        serial runs one transaction at a time per
                         partition with no lock-table acquisition
   --transport uds|tcp   transport for the spawned server(s) (default uds)
   --uds-path PATH       socket path for inproc uds (default: temp dir)

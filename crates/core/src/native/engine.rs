@@ -64,10 +64,6 @@ pub struct PartitionConfig {
     pub lock_timeout: Duration,
     /// One worker ⇒ skip locking (the paper's fine-grained optimization).
     pub single_threaded: bool,
-    /// Group-commit window for the instance's WAL. Worth its latency only
-    /// when concurrent committers can share a flush; a serial executor has
-    /// exactly one committer and runs it at zero.
-    pub group_window: Duration,
     /// `Some` switches the partition from the microbenchmark table to the
     /// TPC-C tables (warehouse/district/customer/stock loaded for the
     /// warehouse range; history/order created empty). `lo`/`hi`/`row_size`
@@ -90,7 +86,6 @@ impl Default for PartitionConfig {
             buffer_frames: 4096,
             lock_timeout: Duration::from_millis(200),
             single_threaded: false,
-            group_window: InstanceOptions::default().group_window,
             tpcc: None,
             wal: None,
         }
@@ -163,7 +158,6 @@ impl PartitionEngine {
                 buffer_frames: cfg.buffer_frames,
                 single_threaded: cfg.single_threaded,
                 lock_timeout: cfg.lock_timeout,
-                group_window: cfg.group_window,
                 ..Default::default()
             },
         );
@@ -801,7 +795,6 @@ mod tests {
             hi: 200,
             row_size: 16,
             buffer_frames: 256,
-            group_window: Duration::ZERO,
             wal: Some(path.clone()),
             ..Default::default()
         };
@@ -848,7 +841,6 @@ mod tests {
             hi: 50,
             row_size: 16,
             buffer_frames: 256,
-            group_window: Duration::ZERO,
             wal: Some(path.clone()),
             ..Default::default()
         };

@@ -1,26 +1,28 @@
-//! Serial partition executors: one pinned thread owns one partition and
-//! executes local transactions with **no lock-table acquisition**.
+//! Serial partition executors: a partition executes one transaction at a
+//! time, start to finish, with **no lock-table acquisition**.
 //!
 //! The paper's fine-grained shared-nothing configurations win on local-only
-//! workloads precisely because a partition owned by a single thread needs no
+//! workloads precisely because a partition owned by a single worker needs no
 //! latching or lock-manager traffic (§6.2, §7.1.1; the H-Store-style design
 //! it benchmarks against makes serial per-partition execution the fast
-//! path). A [`PartitionExecutor`] realizes that: it spawns one dedicated
-//! thread (optionally pinned to a `taskset`-style cpu list from `hwtopo`),
-//! builds a [`PartitionEngine`] with locking elided
-//! (`single_threaded: true`), and drains a **bounded MPSC queue** of
-//! requests. Server sessions become producers — they enqueue decoded
-//! requests with a completion slot instead of executing inline — so the
-//! number of client connections is decoupled from the number of execution
-//! threads.
+//! path). What that needs is *exclusive access* to the partition, not a
+//! thread of its own. A [`PartitionExecutor`] builds a [`PartitionEngine`]
+//! with locking elided (`single_threaded: true`) and puts it, with the map
+//! of parked 2PC branches, behind one partition mutex. Each
+//! [`ExecutorSession`] call takes the mutex and runs the request on the
+//! calling session's thread: no request is handed to another thread and
+//! back, nothing is copied into a queue, and the number of client
+//! connections stays decoupled from the partition's single execution slot.
+//! Sessions waiting for the mutex are the partition's backlog (the
+//! `queue_depth` gauge counts them).
 //!
 //! ## Why serial execution is correct without 2PL
 //!
-//! Single-owner execution makes two-phase locking vacuous for the local
-//! fast path: every transaction runs start-to-finish on the executor
-//! thread, so there is no interleaving for locks to order. The one place
+//! Exclusive execution makes two-phase locking vacuous for the local fast
+//! path: every transaction runs start-to-finish while holding the
+//! partition, so there is no interleaving for locks to order. The one place
 //! concurrency re-enters is **two-phase commit**: a prepared multisite
-//! branch must stay in-doubt across Prepare→Decision while the executor
+//! branch must stay in-doubt across Prepare→Decision while the partition
 //! keeps serving other requests. The locked engine holds the branch's row
 //! locks for that window; the executor instead remembers the branch's key
 //! set and answers any conflicting request the way wait-die would have —
@@ -32,19 +34,16 @@
 //! newcomer on first contact, too — which is what makes the two engines
 //! trace-equivalent (see `tests/engine_differential.rs`).
 //!
-//! ## Queue sizing
-//!
-//! The queue is a bounded [`std::sync::mpsc::sync_channel`]: when
-//! `queue_depth` requests are already waiting, producers block in `send`,
-//! which is exactly the backpressure a saturated partition should exert on
-//! its sessions. Depth trades memory and burst absorption against how far
-//! offered load can run ahead of a stalled executor; the default of 1024
-//! comfortably covers every session's pipeline window at the server's
-//! default batch size.
+//! A panic while executing (a `lockcheck` finding, say) is caught at the
+//! partition boundary: the partition's state is then unknown, so it is
+//! discarded and the offending call and every later one report
+//! [`ExecError::Gone`], while the session thread that made the call lives
+//! on to answer its other requests.
 
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use islands_dtxn::Vote;
@@ -59,11 +58,11 @@ use super::SubmitOutcome;
 /// How a partition instance executes its transactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Shared-everything style: sessions execute inline, 2PL via the
+    /// Shared-everything style: sessions execute concurrently, 2PL via the
     /// instance's lock manager.
     #[default]
     Locked,
-    /// H-Store style: one dedicated executor thread per partition, serial
+    /// H-Store style: one transaction at a time per partition, serial
     /// execution, no lock-table acquisition on the local fast path.
     Serial,
 }
@@ -94,29 +93,11 @@ impl std::fmt::Display for EngineMode {
 }
 
 /// Construction knobs for a [`PartitionExecutor`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecutorConfig {
     /// The partition the executor owns. `single_threaded` is forced on —
     /// serial ownership is the whole point.
     pub partition: PartitionConfig,
-    /// Bounded request-queue depth; full queues block producers (see module
-    /// docs on queue sizing).
-    pub queue_depth: usize,
-    /// `taskset`-style cpu list to pin the executor thread to (via the
-    /// `hwtopo` core lists of the deployment layer). `None` inherits the
-    /// process affinity — in a spawned deployment the child process is
-    /// already pinned to its island.
-    pub pin_cpus: Option<String>,
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        ExecutorConfig {
-            partition: PartitionConfig::default(),
-            queue_depth: 1024,
-            pin_cpus: None,
-        }
-    }
 }
 
 /// Why an executor call failed (distinct from a well-formed transaction
@@ -128,7 +109,7 @@ pub enum ExecError {
     Storage(StorageError),
     /// A branch with this gtid is already prepared here.
     DuplicateGtid(u64),
-    /// The executor thread is gone (shut down or crashed).
+    /// The partition is gone (shut down, or discarded after a panic).
     Gone,
 }
 
@@ -185,100 +166,190 @@ fn retire_branch(b: &Branch) {
     metrics().record_parked(b.parked_at.elapsed().as_nanos() as u64);
 }
 
-enum Job {
-    SubmitPlan {
-        plan: PlanRequest,
-        done: SyncSender<Result<SubmitOutcome, StorageError>>,
-    },
-    PreparePlan {
+/// Everything the partition mutex guards.
+struct Serial {
+    engine: PartitionEngine,
+    /// In-doubt branches, keyed by gtid.
+    branches: HashMap<u64, Branch>,
+}
+
+/// The partition mutex; `None` once the executor has shut down.
+type Partition = Mutex<Option<Serial>>;
+
+/// Run `f` with exclusive access to the partition. Time spent waiting for
+/// the mutex shows in the `queue_depth` gauge.
+///
+/// A panic inside `f` kills the partition, not the caller: the partition's
+/// state is then unknown, so it is discarded and this and every later call
+/// report [`ExecError::Gone`]. The calling session keeps running and still
+/// answers the rest of its batch.
+fn exclusive<R>(partition: &Partition, f: impl FnOnce(&mut Serial) -> R) -> Result<R, ExecError> {
+    metrics().queue_depth().inc();
+    let guard = partition.lock();
+    metrics().queue_depth().dec();
+    let Ok(mut guard) = guard else {
+        return Err(ExecError::Gone);
+    };
+    let serial = guard.as_mut().ok_or(ExecError::Gone)?;
+    match panic::catch_unwind(AssertUnwindSafe(|| f(serial))) {
+        Ok(r) => Ok(r),
+        Err(_) => {
+            // Dropping the dead partition presume-aborts its parked
+            // branches, which may panic in turn; either way it is gone.
+            let dead = guard.take();
+            let _ = panic::catch_unwind(AssertUnwindSafe(move || drop(dead)));
+            Err(ExecError::Gone)
+        }
+    }
+}
+
+impl Serial {
+    /// Whether `plan` touches any in-doubt branch's `(table, key)` set.
+    /// Branch counts are small (one per outstanding 2PC transaction on this
+    /// partition), so a linear scan beats maintaining an index; the steps
+    /// are walked in place, so nothing is allocated and an empty parked set
+    /// answers at once.
+    fn conflicts(&self, plan: &PlanRequest) -> bool {
+        self.branches
+            .values()
+            .any(|b| b.keys.iter().any(|&(t, k)| plan.touches(t, k)))
+    }
+
+    fn submit_plan(&self, plan: &PlanRequest) -> Result<SubmitOutcome, StorageError> {
+        islands_obs::set_txn_class(if plan.multisite {
+            TxnClass::Multisite
+        } else {
+            TxnClass::Local
+        });
+        let _span = islands_obs::enter(BreakdownCategory::XctManagement);
+        if self.conflicts(plan) {
+            // Rows held by an in-doubt branch: abort now, exactly as
+            // wait-die would kill the younger conflicting txn.
+            self.engine.check_plan(plan).map(|()| SubmitOutcome {
+                committed: false,
+                distributed: false,
+                retries: 0,
+            })
+        } else {
+            // Lock-free engine: contention errors cannot occur, so the
+            // retry budget is moot.
+            self.engine.submit_plan_local(plan, 0)
+        }
+    }
+
+    fn prepare_plan(
+        &mut self,
         session: u64,
         gtid: u64,
-        plan: PlanRequest,
-        done: SyncSender<Result<Vote, ExecError>>,
-    },
-    Decide {
-        gtid: u64,
-        commit: bool,
-        done: SyncSender<DecideOutcome>,
-    },
-    /// A producer session ended; presume-abort every branch it prepared.
-    /// Replies with the number of branches rolled back.
-    SessionClosed {
-        session: u64,
-        done: SyncSender<u64>,
-    },
-    AuditSum {
-        done: SyncSender<Result<u64, StorageError>>,
-    },
-    /// Gtids of in-doubt branches the engine re-parked during restart
-    /// replay (each resolves through a normal `Decide`).
-    RecoveredGtids {
-        done: SyncSender<Vec<u64>>,
-    },
-    /// Register the engine into a `lockcheck` ownership scope (runs on the
-    /// executor thread like everything else that touches the engine).
-    #[cfg(feature = "lockcheck")]
-    SetLockcheckScope {
-        scope: std::sync::Arc<islands_storage::lockcheck::Scope>,
-        done: SyncSender<()>,
-    },
-    Shutdown,
+        plan: &PlanRequest,
+    ) -> Result<Vote, ExecError> {
+        islands_obs::set_txn_class(TxnClass::Multisite);
+        let _span = islands_obs::enter(BreakdownCategory::XctManagement);
+        if self.branches.contains_key(&gtid) {
+            return Err(ExecError::DuplicateGtid(gtid));
+        }
+        if self.conflicts(plan) {
+            return self
+                .engine
+                .check_plan(plan)
+                .map(|()| Vote::No)
+                .map_err(ExecError::Storage);
+        }
+        match self.engine.prepare_plan_branch(gtid, plan)? {
+            BranchOutcome::Prepared(handle) => {
+                metrics().in_doubt().inc();
+                self.branches.insert(
+                    gtid,
+                    Branch {
+                        handle,
+                        session,
+                        keys: plan.conflict_keys(),
+                        parked_at: Instant::now(),
+                    },
+                );
+                Ok(Vote::Yes)
+            }
+            BranchOutcome::ReadOnly => Ok(Vote::ReadOnly),
+            BranchOutcome::No => Ok(Vote::No),
+        }
+    }
+
+    fn decide(&mut self, gtid: u64, commit: bool) -> DecideOutcome {
+        islands_obs::set_txn_class(TxnClass::Multisite);
+        let _span = islands_obs::enter(BreakdownCategory::XctManagement);
+        match self.branches.remove(&gtid) {
+            Some(b) => {
+                retire_branch(&b);
+                match b.handle.decide(commit) {
+                    Ok(()) => DecideOutcome::Applied,
+                    Err(e) => DecideOutcome::Failed(e.to_string()),
+                }
+            }
+            // No live branch: the gtid may belong to an in-doubt branch
+            // re-parked by restart replay.
+            None => match self.engine.resolve_recovered(gtid, commit) {
+                Ok(true) => DecideOutcome::Applied,
+                Ok(false) if !commit => DecideOutcome::AbortNoop,
+                Ok(false) => DecideOutcome::UnknownCommit,
+                Err(e) => DecideOutcome::Failed(e.to_string()),
+            },
+        }
+    }
+
+    /// Presume-abort every branch `session` prepared; returns how many.
+    fn close_session(&mut self, session: u64) -> u64 {
+        let doomed: Vec<u64> = self
+            .branches
+            .iter()
+            .filter(|(_, b)| b.session == session)
+            .map(|(&g, _)| g)
+            .collect();
+        for gtid in &doomed {
+            if let Some(b) = self.branches.remove(gtid) {
+                retire_branch(&b);
+                let _ = b.handle.decide(false);
+            }
+        }
+        doomed.len() as u64
+    }
+}
+
+impl Drop for Serial {
+    /// Anything still in-doubt at shutdown has no coordinator left to
+    /// decide it: presumed abort releases the partition's state cleanly.
+    fn drop(&mut self) {
+        for (_, b) in self.branches.drain() {
+            retire_branch(&b);
+            let _ = b.handle.decide(false);
+        }
+    }
 }
 
 /// Handle to one partition's serial executor. Clone-free by design: share
-/// it behind an [`Arc`](std::sync::Arc) and mint one [`ExecutorSession`]
-/// per producer.
+/// it behind an [`Arc`] and mint one [`ExecutorSession`] per producer.
 pub struct PartitionExecutor {
-    tx: SyncSender<Job>,
-    join: Option<std::thread::JoinHandle<()>>,
+    partition: Arc<Partition>,
     next_session: AtomicU64,
     range: (u64, u64),
-    pinned: bool,
 }
 
 impl PartitionExecutor {
-    /// Spawn the executor thread, pin it (best effort), build the engine on
-    /// it, and wait until the partition is loaded and serving.
+    /// Build the partition's engine (loading its data, or replaying its
+    /// WAL on restart) and start serving. Nothing is spawned: requests run
+    /// on the threads of the sessions that submit them.
     pub fn spawn(cfg: ExecutorConfig) -> Result<PartitionExecutor, StorageError> {
-        assert!(cfg.queue_depth >= 1, "executor queue needs a slot");
-        let (tx, rx) = sync_channel::<Job>(cfg.queue_depth);
-        let (ready_tx, ready_rx) = sync_channel::<Result<bool, StorageError>>(1);
         let range = (cfg.partition.lo, cfg.partition.hi);
-        let join = std::thread::Builder::new()
-            .name("islands-exec".into())
-            .spawn(move || {
-                let pinned = cfg
-                    .pin_cpus
-                    .as_deref()
-                    .map(pin_current_thread)
-                    .unwrap_or(false);
-                let pcfg = PartitionConfig {
-                    single_threaded: true,
-                    // Group commit exists to share one flush among
-                    // concurrent committers; a serial executor commits one
-                    // transaction at a time, so any window is pure stall.
-                    group_window: std::time::Duration::ZERO,
-                    ..cfg.partition
-                };
-                match PartitionEngine::build(&pcfg) {
-                    Ok(engine) => {
-                        let _ = ready_tx.send(Ok(pinned));
-                        serve(&engine, &rx);
-                    }
-                    Err(e) => {
-                        let _ = ready_tx.send(Err(e));
-                    }
-                }
-            })?;
-        let pinned = ready_rx.recv().unwrap_or(Err(StorageError::CorruptCatalog(
-            "executor thread died before ready".into(),
-        )))?;
+        let engine = PartitionEngine::build(&PartitionConfig {
+            single_threaded: true,
+            ..cfg.partition
+        })?;
         Ok(PartitionExecutor {
-            tx,
-            join: Some(join),
+            partition: Arc::new(Mutex::new(Some(Serial {
+                engine,
+                branches: HashMap::new(),
+            }))),
             next_session: AtomicU64::new(1),
             range,
-            pinned,
         })
     }
 
@@ -287,17 +358,12 @@ impl PartitionExecutor {
         self.range
     }
 
-    /// Whether the executor thread was actually pinned.
-    pub fn pinned(&self) -> bool {
-        self.pinned
-    }
-
     /// Mint a producer session. Each connection/producer holds its own; the
     /// session id scopes the presumed-abort rule for branches it prepares.
     pub fn session(&self) -> ExecutorSession {
         ExecutorSession {
             id: self.next_session.fetch_add(1, Ordering::Relaxed),
-            tx: self.tx.clone(),
+            partition: Arc::clone(&self.partition),
             closed: false,
         }
     }
@@ -309,23 +375,13 @@ impl PartitionExecutor {
         &self,
         scope: std::sync::Arc<islands_storage::lockcheck::Scope>,
     ) -> Result<(), ExecError> {
-        let (done, wait) = sync_channel(1);
-        self.tx
-            .send(Job::SetLockcheckScope { scope, done })
-            .map_err(|_| ExecError::Gone)?;
-        wait.recv().map_err(|_| ExecError::Gone)
+        exclusive(&self.partition, |p| p.engine.set_lockcheck_scope(scope))
     }
 
-    /// Sum of the audit counters across the partition's rows (serialized
-    /// through the queue, so it observes a consistent point).
+    /// Sum of the audit counters across the partition's rows (taken with
+    /// the partition held, so it observes a consistent point).
     pub fn audit_sum(&self) -> Result<u64, ExecError> {
-        let (done, wait) = sync_channel(1);
-        self.tx
-            .send(Job::AuditSum { done })
-            .map_err(|_| ExecError::Gone)?;
-        wait.recv()
-            .map_err(|_| ExecError::Gone)?
-            .map_err(ExecError::Storage)
+        exclusive(&self.partition, |p| p.engine.audit_sum())?.map_err(ExecError::Storage)
     }
 
     /// Gtids of in-doubt branches restart replay re-parked on the engine,
@@ -333,44 +389,35 @@ impl PartitionExecutor {
     /// [`ExecutorSession::decide`] — the decision falls through to the
     /// recovered branch when no live branch holds the gtid.
     pub fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError> {
-        let (done, wait) = sync_channel(1);
-        self.tx
-            .send(Job::RecoveredGtids { done })
-            .map_err(|_| ExecError::Gone)?;
-        wait.recv().map_err(|_| ExecError::Gone)
+        exclusive(&self.partition, |p| p.engine.recovered_gtids())
     }
 
-    /// Stop the executor: drain the queue up to this point, presume-abort
-    /// any branch still in-doubt, and join the thread.
-    pub fn shutdown(mut self) {
-        let _ = self.tx.send(Job::Shutdown);
-        if let Some(h) = self.join.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stop serving: presume-abort any branch still in-doubt and drop the
+    /// engine (what dropping the executor does). Sessions that outlive this
+    /// see [`ExecError::Gone`].
+    pub fn shutdown(self) {}
 }
 
 impl Drop for PartitionExecutor {
     fn drop(&mut self) {
-        if let Some(h) = self.join.take() {
-            let _ = self.tx.send(Job::Shutdown);
-            let _ = h.join();
-        }
+        // A poisoned partition is being discarded either way.
+        let mut serial = self.partition.lock().unwrap_or_else(|e| e.into_inner());
+        *serial = None;
     }
 }
 
-/// One producer's channel to a [`PartitionExecutor`]. Calls block until the
-/// executor answers (enqueue + rendezvous), which keeps the producer's
-/// request pipeline depth bounded by the executor queue.
+/// One producer's handle on a [`PartitionExecutor`]. Each call waits for
+/// the partition, runs the request on the calling thread, and returns its
+/// answer.
 pub struct ExecutorSession {
     id: u64,
-    tx: SyncSender<Job>,
+    partition: Arc<Partition>,
     closed: bool,
 }
 
 impl ExecutorSession {
-    /// Execute one fully-local micro batch serially on the executor: its
-    /// plan lowering through [`submit_plan`](Self::submit_plan).
+    /// Execute one fully-local micro batch serially: its plan lowering
+    /// through [`submit_plan`](Self::submit_plan).
     pub fn submit(&self, req: &TxnRequest) -> Result<SubmitOutcome, ExecError> {
         self.submit_plan(&req.into())
     }
@@ -381,83 +428,37 @@ impl ExecutorSession {
         self.prepare_plan(gtid, &req.into())
     }
 
-    /// Execute one fully-local multi-step plan serially on the executor.
+    /// Execute one fully-local multi-step plan serially.
     ///
     /// A plan touching a row of an in-doubt branch (range reads included)
     /// reports `committed: false` immediately — the same outcome wait-die
     /// hands a conflicting newcomer under the locked engine.
     pub fn submit_plan(&self, plan: &PlanRequest) -> Result<SubmitOutcome, ExecError> {
-        let (done, wait) = sync_channel(1);
-        metrics().queue_depth().inc();
-        self.tx
-            .send(Job::SubmitPlan {
-                plan: plan.clone(),
-                done,
-            })
-            .map_err(|_| {
-                metrics().queue_depth().dec();
-                ExecError::Gone
-            })?;
-        wait.recv()
-            .map_err(|_| ExecError::Gone)?
-            .map_err(ExecError::Storage)
+        exclusive(&self.partition, |p| p.submit_plan(plan))?.map_err(ExecError::Storage)
     }
 
-    /// Execute one plan branch and run participant phase 1 on the executor.
-    /// A `Vote::Yes` parks the branch with its full `(table, key)`
-    /// footprint, dependent reads included, so conflicting work aborts until
+    /// Execute one plan branch and run participant phase 1. A `Vote::Yes`
+    /// parks the branch with its full `(table, key)` footprint, dependent
+    /// reads included, so conflicting work aborts until
     /// [`decide`](Self::decide) (from any session) or this session's close
     /// presumed-aborts it.
     pub fn prepare_plan(&self, gtid: u64, plan: &PlanRequest) -> Result<Vote, ExecError> {
-        let (done, wait) = sync_channel(1);
-        metrics().queue_depth().inc();
-        self.tx
-            .send(Job::PreparePlan {
-                session: self.id,
-                gtid,
-                plan: plan.clone(),
-                done,
-            })
-            .map_err(|_| {
-                metrics().queue_depth().dec();
-                ExecError::Gone
-            })?;
-        wait.recv().map_err(|_| ExecError::Gone)?
+        exclusive(&self.partition, |p| p.prepare_plan(self.id, gtid, plan))?
     }
 
     /// Apply a coordinator decision to the in-doubt branch with this gtid.
     pub fn decide(&self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError> {
-        let (done, wait) = sync_channel(1);
-        metrics().queue_depth().inc();
-        self.tx
-            .send(Job::Decide { gtid, commit, done })
-            .map_err(|_| {
-                metrics().queue_depth().dec();
-                ExecError::Gone
-            })?;
-        wait.recv().map_err(|_| ExecError::Gone)
+        exclusive(&self.partition, |p| p.decide(gtid, commit))
     }
 
     /// End the session: every branch it prepared that is still in-doubt is
     /// rolled back (presumed abort — the coordinator's connection is gone).
     /// Returns how many branches were rolled back. Idempotent.
     pub fn close(&mut self) -> u64 {
-        if self.closed {
+        if std::mem::replace(&mut self.closed, true) {
             return 0;
         }
-        self.closed = true;
-        let (done, wait) = sync_channel(1);
-        if self
-            .tx
-            .send(Job::SessionClosed {
-                session: self.id,
-                done,
-            })
-            .is_err()
-        {
-            return 0;
-        }
-        wait.recv().unwrap_or(0)
+        exclusive(&self.partition, |p| p.close_session(self.id)).unwrap_or(0)
     }
 }
 
@@ -465,168 +466,6 @@ impl Drop for ExecutorSession {
     fn drop(&mut self) {
         let _ = self.close();
     }
-}
-
-/// Whether `plan` touches any in-doubt branch's `(table, key)` set. Branch
-/// counts are small (one per outstanding 2PC transaction on this
-/// partition), so a linear scan beats maintaining an index; the steps are
-/// walked in place, so nothing is allocated and an empty parked set answers
-/// at once.
-fn conflicts(branches: &HashMap<u64, Branch>, plan: &PlanRequest) -> bool {
-    branches
-        .values()
-        .any(|b| b.keys.iter().any(|&(t, k)| plan.touches(t, k)))
-}
-
-/// The executor thread's serve loop: drain jobs until shutdown, then
-/// presume-abort any branch still parked.
-fn serve(engine: &PartitionEngine, rx: &Receiver<Job>) {
-    let mut branches: HashMap<u64, Branch> = HashMap::new();
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::SubmitPlan { plan, done } => {
-                metrics().queue_depth().dec();
-                islands_obs::set_txn_class(if plan.multisite {
-                    TxnClass::Multisite
-                } else {
-                    TxnClass::Local
-                });
-                let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let outcome = if conflicts(&branches, &plan) {
-                    // Rows held by an in-doubt branch: abort now, exactly as
-                    // wait-die would kill the younger conflicting txn.
-                    engine.check_plan(&plan).map(|()| SubmitOutcome {
-                        committed: false,
-                        distributed: false,
-                        retries: 0,
-                    })
-                } else {
-                    // Lock-free engine: contention errors cannot occur, so
-                    // the retry budget is moot.
-                    engine.submit_plan_local(&plan, 0)
-                };
-                let _ = done.send(outcome);
-            }
-            Job::PreparePlan {
-                session,
-                gtid,
-                plan,
-                done,
-            } => {
-                metrics().queue_depth().dec();
-                islands_obs::set_txn_class(TxnClass::Multisite);
-                let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let reply = if branches.contains_key(&gtid) {
-                    Err(ExecError::DuplicateGtid(gtid))
-                } else if conflicts(&branches, &plan) {
-                    engine
-                        .check_plan(&plan)
-                        .map(|()| Vote::No)
-                        .map_err(ExecError::Storage)
-                } else {
-                    match engine.prepare_plan_branch(gtid, &plan) {
-                        Ok(BranchOutcome::Prepared(handle)) => {
-                            metrics().in_doubt().inc();
-                            branches.insert(
-                                gtid,
-                                Branch {
-                                    handle,
-                                    session,
-                                    keys: plan.conflict_keys(),
-                                    parked_at: Instant::now(),
-                                },
-                            );
-                            Ok(Vote::Yes)
-                        }
-                        Ok(BranchOutcome::ReadOnly) => Ok(Vote::ReadOnly),
-                        Ok(BranchOutcome::No) => Ok(Vote::No),
-                        Err(e) => Err(ExecError::Storage(e)),
-                    }
-                };
-                let _ = done.send(reply);
-            }
-            Job::Decide { gtid, commit, done } => {
-                metrics().queue_depth().dec();
-                islands_obs::set_txn_class(TxnClass::Multisite);
-                let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let outcome = match branches.remove(&gtid) {
-                    Some(b) => {
-                        retire_branch(&b);
-                        match b.handle.decide(commit) {
-                            Ok(()) => DecideOutcome::Applied,
-                            Err(e) => DecideOutcome::Failed(e.to_string()),
-                        }
-                    }
-                    // No live branch: the gtid may belong to an in-doubt
-                    // branch re-parked by restart replay.
-                    None => match engine.resolve_recovered(gtid, commit) {
-                        Ok(true) => DecideOutcome::Applied,
-                        Ok(false) if !commit => DecideOutcome::AbortNoop,
-                        Ok(false) => DecideOutcome::UnknownCommit,
-                        Err(e) => DecideOutcome::Failed(e.to_string()),
-                    },
-                };
-                let _ = done.send(outcome);
-            }
-            Job::SessionClosed { session, done } => {
-                let doomed: Vec<u64> = branches
-                    .iter()
-                    .filter(|(_, b)| b.session == session)
-                    .map(|(&g, _)| g)
-                    .collect();
-                let mut aborted = 0u64;
-                for gtid in doomed {
-                    if let Some(b) = branches.remove(&gtid) {
-                        retire_branch(&b);
-                        let _ = b.handle.decide(false);
-                        aborted += 1;
-                    }
-                }
-                let _ = done.send(aborted);
-            }
-            Job::AuditSum { done } => {
-                let _ = done.send(engine.audit_sum());
-            }
-            Job::RecoveredGtids { done } => {
-                let _ = done.send(engine.recovered_gtids());
-            }
-            #[cfg(feature = "lockcheck")]
-            Job::SetLockcheckScope { scope, done } => {
-                engine.set_lockcheck_scope(scope);
-                let _ = done.send(());
-            }
-            Job::Shutdown => break,
-        }
-    }
-    // Anything still in-doubt at shutdown has no coordinator left to decide
-    // it: presumed abort releases the partition's state cleanly.
-    for (_, b) in branches.drain() {
-        retire_branch(&b);
-        let _ = b.handle.decide(false);
-    }
-}
-
-/// Best-effort pin of the calling thread to a `taskset`-style cpu list.
-///
-/// There is no libc binding in this workspace, so the pin goes through the
-/// same tool the deployment layer uses for child processes: `taskset -p`
-/// against the thread id read from `/proc/thread-self/stat` (Linux-only;
-/// anywhere that file or the tool is missing, the thread simply runs
-/// unpinned and we report so).
-fn pin_current_thread(cpus: &str) -> bool {
-    let Some(tid) = std::fs::read_to_string("/proc/thread-self/stat")
-        .ok()
-        .and_then(|s| s.split_whitespace().next().map(str::to_owned))
-    else {
-        return false;
-    };
-    std::process::Command::new("taskset")
-        .args(["-p", "-c", cpus, &tid])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .map(|s| s.success())
-        .unwrap_or(false)
 }
 
 #[cfg(test)]
@@ -643,7 +482,6 @@ mod tests {
                 buffer_frames: 256,
                 ..Default::default()
             },
-            ..Default::default()
         })
         .unwrap()
     }
@@ -774,35 +612,56 @@ mod tests {
     }
 
     #[test]
-    fn pinned_executor_reports_its_pin_and_still_serves() {
-        // The deployment layer hands serial instance children their island
-        // cpu list; the executor thread pins itself to it via taskset -p.
-        // Where the tool works, spawn must report the pin; either way the
-        // executor serves normally.
-        let taskset_works = std::process::Command::new("taskset")
-            .arg("-V")
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .status()
-            .map(|s| s.success())
-            .unwrap_or(false);
-        let e = PartitionExecutor::spawn(ExecutorConfig {
-            partition: PartitionConfig {
-                lo: 0,
-                hi: 100,
-                row_size: 16,
-                buffer_frames: 256,
-                ..Default::default()
-            },
-            pin_cpus: Some("0".into()),
-            ..Default::default()
-        })
-        .unwrap();
-        if taskset_works {
-            assert!(e.pinned(), "taskset works but the executor did not pin");
+    fn sessions_on_two_threads_commit_serially() {
+        let e = executor();
+        let per_thread = 200u64;
+        std::thread::scope(|scope| {
+            for base in [100u64, 150] {
+                let s = e.session();
+                scope.spawn(move || {
+                    for i in 0..per_thread {
+                        // Both threads also hammer one shared row.
+                        let keys = [base + i % 49, 199];
+                        assert!(s.submit(&update(&keys)).unwrap().committed);
+                    }
+                });
+            }
+        });
+        assert_eq!(e.audit_sum().unwrap(), 2 * per_thread * 2);
+    }
+
+    #[test]
+    fn sessions_that_outlive_the_executor_see_it_gone() {
+        let e = executor();
+        let s = e.session();
+        assert!(s.submit(&update(&[150])).unwrap().committed);
+        e.shutdown();
+        assert!(matches!(s.submit(&update(&[150])), Err(ExecError::Gone)));
+        assert!(matches!(s.decide(1, false), Err(ExecError::Gone)));
+    }
+
+    #[test]
+    fn a_panic_inside_the_partition_kills_it_not_the_caller() {
+        let e = executor();
+        let s = e.session();
+        assert!(matches!(s.prepare(3, &update(&[170])), Ok(Vote::Yes)));
+        let caught = exclusive::<()>(&e.partition, |_| panic!("engine bug"));
+        assert!(matches!(caught, Err(ExecError::Gone)));
+        assert!(matches!(s.submit(&update(&[150])), Err(ExecError::Gone)));
+        assert!(matches!(e.audit_sum(), Err(ExecError::Gone)));
+    }
+
+    #[test]
+    fn no_executor_thread_is_spawned() {
+        let e = executor();
+        assert!(e.session().submit(&update(&[150])).unwrap().committed);
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return; // not Linux: nothing to inspect
+        };
+        for task in tasks.flatten() {
+            let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+            assert_ne!(comm.trim(), "islands-exec", "an executor thread exists");
         }
-        assert!(e.session().submit(&update(&[50])).unwrap().committed);
-        assert_eq!(e.audit_sum().unwrap(), 1);
     }
 
     #[test]
@@ -837,7 +696,6 @@ mod tests {
                 }),
                 ..Default::default()
             },
-            ..Default::default()
         })
         .unwrap()
     }
@@ -920,7 +778,6 @@ mod tests {
         {
             let eng = PartitionEngine::build(&PartitionConfig {
                 single_threaded: true,
-                group_window: std::time::Duration::ZERO,
                 ..partition.clone()
             })
             .unwrap();
@@ -930,11 +787,7 @@ mod tests {
             };
             std::mem::forget(handle);
         }
-        let e2 = PartitionExecutor::spawn(ExecutorConfig {
-            partition,
-            ..Default::default()
-        })
-        .unwrap();
+        let e2 = PartitionExecutor::spawn(ExecutorConfig { partition }).unwrap();
         assert_eq!(e2.recovered_gtids().unwrap(), vec![77]);
         let s = e2.session();
         // The recovered branch guards its key against new work.

@@ -167,7 +167,6 @@ fn replay_locked(steps: &[Step]) -> (Vec<Outcome>, u64) {
 fn replay_serial(steps: &[Step]) -> (Vec<Outcome>, u64) {
     let exec = PartitionExecutor::spawn(ExecutorConfig {
         partition: partition_config(),
-        ..Default::default()
     })
     .unwrap();
     let session = exec.session();
@@ -303,7 +302,6 @@ fn conflicting_locals_abort_identically_in_both_engines() {
 
     let exec = PartitionExecutor::spawn(ExecutorConfig {
         partition: partition_config(),
-        ..Default::default()
     })
     .unwrap();
     let session = exec.session();

@@ -19,7 +19,6 @@ fn executor(lo: u64, hi: u64) -> PartitionExecutor {
             buffer_frames: 256,
             ..Default::default()
         },
-        ..Default::default()
     })
     .expect("spawn executor")
 }
@@ -68,13 +67,20 @@ fn mis_routed_key_in_the_serial_engine_is_caught() {
     assert!(sa.submit(&update(&[60])).unwrap().committed, "first owner");
 
     // The mis-route: the same key reaches partition B. The detector panics
-    // on B's executor thread, which surfaces to the producer as the
-    // executor being gone (and the panic message names the key).
-    let result = sb.submit(&update(&[60]));
+    // inside B's transaction; B catches it at its partition boundary,
+    // discards its state and answers Gone, to the offending call and to
+    // every later one, while the calling thread lives on.
     assert!(
-        result.is_err(),
-        "lockcheck must kill the executor that accepted a mis-routed key"
+        matches!(
+            sb.submit(&update(&[60])),
+            Err(islands_core::native::ExecError::Gone)
+        ),
+        "lockcheck must kill the partition that accepted a mis-routed key"
     );
+    assert!(matches!(
+        sb.submit(&update(&[70])),
+        Err(islands_core::native::ExecError::Gone)
+    ));
 
     // Partition A is untouched and keeps serving.
     assert!(sa.submit(&update(&[10])).unwrap().committed);

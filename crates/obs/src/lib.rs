@@ -185,7 +185,7 @@ impl TxnClass {
 pub const NCLASSES: usize = 2;
 
 /// Shards per counter. Eight covers the thread counts a single instance
-/// runs (sessions + executor + flusher) without false sharing mattering.
+/// runs (session threads plus a few helpers) without false sharing mattering.
 pub const NSHARDS: usize = 8;
 
 /// One cache line so two shards never share one.
@@ -248,7 +248,7 @@ impl Default for Counter {
 }
 
 /// A level that moves both ways (queue depth, in-flight branches). Single
-/// atomic: gauges are updated once per enqueue/dequeue, not per row.
+/// atomic: gauges are updated once per wait or branch, not per row.
 pub struct Gauge(AtomicU64);
 
 impl Gauge {
@@ -300,7 +300,7 @@ pub struct Metrics {
     decision_us: Hist,
     /// How long prepared branches sat parked awaiting the decision.
     parked_us: Hist,
-    /// Executor queue depth (0 for the locked engine's session threads).
+    /// Sessions waiting for a serial partition (0 for the locked engine).
     queue_depth: Gauge,
     /// Prepared-but-undecided branches right now.
     in_doubt: Gauge,

@@ -126,8 +126,8 @@ pub struct DeployConfig {
     /// Run instances without locking (only sound for one client).
     pub single_threaded: bool,
     /// How each instance executes: [`EngineMode::Locked`] (sessions execute
-    /// inline under 2PL) or [`EngineMode::Serial`] (one pinned executor
-    /// thread per partition, no lock table on the local fast path).
+    /// concurrently under 2PL) or [`EngineMode::Serial`] (one transaction at
+    /// a time per partition, no lock table on the local fast path).
     pub engine: EngineMode,
     /// Pin instance processes to island core sets via `taskset`.
     pub pin: bool,
@@ -732,12 +732,6 @@ impl Deployment {
             }
             if cfg.engine == EngineMode::Serial {
                 args.extend(["--engine".into(), EngineMode::Serial.label().into()]);
-                // The child's executor thread re-pins itself to the same
-                // island list the process is wrapped in (keeps the pin if
-                // something else in the child widens the process mask).
-                if let (true, Some(cpus)) = (taskset, &pins[i]) {
-                    args.extend(["--pin-cpus".into(), cpus.clone()]);
-                }
             }
             args
         };
@@ -1664,7 +1658,6 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
     let mut lock_ms = 200u64;
     let mut single_threaded = false;
     let mut engine_mode = EngineMode::Locked;
-    let mut pin_cpus: Option<String> = None;
     let mut stats_every_ms = 500u64;
     let mut obs = true;
     let mut wal: Option<PathBuf> = None;
@@ -1718,7 +1711,6 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
                 let v = value("--engine")?;
                 engine_mode = EngineMode::parse(v).map_err(io::Error::other)?;
             }
-            "--pin-cpus" => pin_cpus = Some(value("--pin-cpus")?.clone()),
             "--wal" => wal = Some(PathBuf::from(value("--wal")?)),
             "--coord" => {
                 let v = value("--coord")?;
@@ -1756,9 +1748,8 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
         wal,
         ..Default::default()
     };
-    // Serial mode: keep a handle to the executor so it can be shut down
-    // (and its thread joined) after the server drains. Locked mode keeps
-    // the engine handle for recovery resolution and leak accounting.
+    // Keep a handle to whichever engine the backend serves for recovery
+    // resolution and leak accounting.
     let mut executor: Option<Arc<PartitionExecutor>> = None;
     let mut engine: Option<Arc<PartitionEngine>> = None;
     let backend = match engine_mode {
@@ -1770,15 +1761,8 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
             Backend::Partition(built)
         }
         EngineMode::Serial => {
-            // The child process is already taskset-pinned to its island's
-            // cores; --pin-cpus re-pins the executor thread to the same
-            // list explicitly (and records the fact in its stats).
-            let exec = PartitionExecutor::spawn(ExecutorConfig {
-                partition,
-                pin_cpus,
-                ..Default::default()
-            })
-            .map_err(|e| io::Error::other(format!("executor build failed: {e}")))?;
+            let exec = PartitionExecutor::spawn(ExecutorConfig { partition })
+                .map_err(|e| io::Error::other(format!("executor build failed: {e}")))?;
             let exec = Arc::new(exec);
             executor = Some(Arc::clone(&exec));
             Backend::Executor(exec)
@@ -1852,16 +1836,8 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
         let _ = printer.join();
     }
     // Recovered branches the resolver never settled are in-doubt leaks just
-    // like session-parked ones: fold them into the drain accounting before
-    // the executor (whose thread answers the query) shuts down.
+    // like session-parked ones: fold them into the drain accounting.
     stats.in_doubt += recovered_gtids(&engine, &executor)?.len() as u64;
-    // All sessions have exited (join waits for them), so the Arc the
-    // acceptor held is gone: reclaim the executor and join its thread.
-    if let Some(exec) = executor {
-        if let Ok(exec) = Arc::try_unwrap(exec) {
-            exec.shutdown();
-        }
-    }
     let mut out = io::stdout().lock();
     writeln!(out, "{}", format_stats(&stats))?;
     out.flush()?;
@@ -1925,8 +1901,8 @@ fn apply_verdict(
         }
         (_, Some(x)) => {
             // A throwaway session: Decide falls through to the engine's
-            // recovered map on the executor thread. The session prepared
-            // nothing, so closing it on drop rolls back nothing.
+            // recovered map. The session prepared nothing, so closing it
+            // on drop rolls back nothing.
             use islands_core::native::DecideOutcome;
             let session = x.session();
             match session.decide(gtid, commit) {

@@ -117,11 +117,10 @@ pub enum Backend {
     /// participant-side 2PC, with presumed abort when a coordinator
     /// connection dies.
     Partition(Arc<PartitionEngine>),
-    /// One shared-nothing instance in **serial executor** mode: sessions
-    /// become producers that enqueue decoded requests onto the partition's
-    /// dedicated executor thread instead of executing inline, so the local
-    /// fast path runs with no lock-table acquisition and connection count
-    /// is decoupled from execution threads.
+    /// One shared-nothing instance in **serial executor** mode: each session
+    /// runs its requests with exclusive access to the partition, one
+    /// transaction at a time, so the local fast path runs with no
+    /// lock-table acquisition however many connections are open.
     Executor(Arc<PartitionExecutor>),
 }
 
@@ -565,8 +564,8 @@ fn session(
     counters: Arc<Counters>,
 ) -> io::Result<()> {
     let mut in_doubt = InDoubtBranches::new();
-    // Executor backends: this session is a producer onto the partition's
-    // executor thread; the session id scopes the presumed-abort rule for
+    // Executor backends: this session's executor handle; the session id
+    // scopes the presumed-abort rule for
     // branches prepared over this connection.
     let mut exec = match &backend {
         Backend::Executor(e) => Some(e.session()),
@@ -591,8 +590,8 @@ fn session(
         counters.in_doubt.fetch_sub(1, Ordering::Relaxed);
     }
     // Same rule on the executor: closing the producer session rolls back
-    // every branch it prepared that nobody decided (executed on the
-    // executor thread, so the count comes back from there).
+    // every branch it prepared that nobody decided (the executor owns the
+    // parked branches, so the count comes back from there).
     if let Some(mut s) = exec.take() {
         let aborted = s.close();
         if aborted > 0 {
@@ -1015,7 +1014,7 @@ fn handle_decision(
 }
 
 /// 2PC phase 1 on a serial-executor backend: the branch (dependent reads
-/// and all) executes and prepares on the partition's executor thread; a Yes
+/// and all) executes and prepares on the serial partition; a Yes
 /// vote parks it there (keyed by this session for the presumed-abort rule),
 /// so the session only relays the vote and keeps the gauges.
 fn handle_prepare_plan_exec(

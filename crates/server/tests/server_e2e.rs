@@ -459,8 +459,8 @@ fn connection_churn_is_survived_and_counted() {
 }
 
 // ---------------------------------------------------------------------------
-// Serial-executor backend: sessions are producers, the partition executes on
-// its own pinned thread with no lock-table acquisition.
+// Serial-executor backend: sessions take turns on the partition, one
+// transaction at a time, with no lock-table acquisition.
 // ---------------------------------------------------------------------------
 
 fn spawn_executor(lo: u64, hi: u64) -> (Arc<PartitionExecutor>, ServerHandle) {
@@ -473,7 +473,6 @@ fn spawn_executor(lo: u64, hi: u64) -> (Arc<PartitionExecutor>, ServerHandle) {
                 buffer_frames: 512,
                 ..Default::default()
             },
-            ..Default::default()
         })
         .unwrap(),
     );
@@ -489,8 +488,8 @@ fn spawn_executor(lo: u64, hi: u64) -> (Arc<PartitionExecutor>, ServerHandle) {
 #[test]
 fn executor_backend_serves_local_submissions_from_many_connections() {
     let (exec, handle) = spawn_executor(0, 100);
-    // Several concurrent connections all enqueue onto the one executor:
-    // connection count is decoupled from the single execution thread.
+    // Several concurrent connections share the one serial partition:
+    // connection count is decoupled from its single execution slot.
     let mut clients: Vec<Client> = (0..4)
         .map(|_| Client::connect(handle.endpoint()).unwrap())
         .collect();

@@ -34,6 +34,12 @@ pub enum StorageError {
     CorruptLog(String),
     /// Catalog page corrupt or of wrong version.
     CorruptCatalog(String),
+    /// A bounded log device overwrote its oldest bytes, so the full log can
+    /// no longer be read back.
+    LogWrapped {
+        appended: u64,
+        capacity: u64,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -52,6 +58,10 @@ impl fmt::Display for StorageError {
             StorageError::MustAbort(t) => write!(f, "transaction must abort: {t}"),
             StorageError::CorruptLog(m) => write!(f, "corrupt log: {m}"),
             StorageError::CorruptCatalog(m) => write!(f, "corrupt catalog: {m}"),
+            StorageError::LogWrapped { appended, capacity } => write!(
+                f,
+                "log wrapped: {appended} bytes appended to a {capacity}-byte ring"
+            ),
         }
     }
 }

@@ -36,7 +36,9 @@ pub struct InstanceOptions {
     pub lock_timeout: Duration,
     /// Log-buffer bytes that trigger an early flush.
     pub flush_threshold: usize,
-    /// Group-commit window.
+    /// Ignored: the WAL batches by device latency alone (leader/follower
+    /// flushing, no window). Kept only for callers that still name it; to be
+    /// removed with them.
     pub group_window: Duration,
 }
 
@@ -47,7 +49,7 @@ impl Default for InstanceOptions {
             single_threaded: false,
             lock_timeout: Duration::from_secs(2),
             flush_threshold: 64 << 10,
-            group_window: Duration::from_micros(500),
+            group_window: Duration::ZERO,
         }
     }
 }
@@ -576,9 +578,17 @@ impl TxnHandle {
         #[cfg(feature = "lockcheck")]
         self.instance
             .lockcheck
-            .on_access(self.instance.opts.single_threaded, key);
+            .on_access(self.instance.opts.single_threaded, self.id, key);
         #[cfg(not(feature = "lockcheck"))]
         let _ = key;
+    }
+
+    /// Race-detector hook when the transaction stops occupying the instance
+    /// (finished, or prepared and parked).
+    #[inline]
+    fn lockcheck_leave(&self) {
+        #[cfg(feature = "lockcheck")]
+        self.instance.lockcheck.on_leave(self.id);
     }
 
     /// Read one row (S lock on the key, IS on the table).
@@ -700,6 +710,7 @@ impl TxnHandle {
             .append(self.id, &LogPayload::Prepare { gtid });
         self.instance.wal.commit_durable(lsn);
         self.state = TxnState::Prepared;
+        self.lockcheck_leave();
         Ok(PrepareVote::Yes)
     }
 
@@ -725,6 +736,7 @@ impl TxnHandle {
         if !self.instance.opts.single_threaded {
             self.instance.locks.unlock_all(self.id);
         }
+        self.lockcheck_leave();
         if self.state != TxnState::Finished {
             self.instance.active_txns.fetch_sub(1, Ordering::SeqCst);
         }
@@ -761,7 +773,6 @@ mod tests {
     fn small_opts() -> InstanceOptions {
         InstanceOptions {
             buffer_frames: 256,
-            group_window: Duration::from_micros(100),
             ..Default::default()
         }
     }

@@ -16,7 +16,8 @@
 //!   pure state machine plus a blocking native driver with wait-die deadlock
 //!   avoidance.
 //! * [`wal`] — write-ahead log: records, a group-commit buffer (pure policy
-//!   object), a native log manager with a background flusher, and logical
+//!   object), a native log manager whose committers flush as leader and
+//!   followers, and logical
 //!   snapshot-plus-redo recovery (including 2PC prepare/decision records).
 //! * [`table`] — key → payload tables combining a heap file and a B+tree.
 //! * [`instance`] — a database instance: catalog + buffer pool + lock

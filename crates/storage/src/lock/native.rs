@@ -2,9 +2,10 @@
 //!
 //! Thin driver over the pure [`LockTable`]: `Wait` outcomes park the calling
 //! thread on a per-transaction condition variable; releases wake the
-//! transactions the table reports as newly granted. A configurable timeout
-//! backstops wait-die (which already prevents true deadlocks) against lost
-//! wakeups and runaway holders in tests.
+//! transactions the table reports as newly granted. A waiter's cell is
+//! registered before the table mutex drops, so no grant can miss it; a
+//! configurable timeout backstops wait-die (which already prevents true
+//! deadlocks) against runaway holders.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,6 +28,14 @@ enum WaitState {
     #[default]
     Waiting,
     Granted,
+}
+
+/// What the table said to a lock request.
+enum Request {
+    Granted,
+    Die,
+    /// Queued; the registered cell is woken on grant.
+    Wait(Arc<WaitCell>),
 }
 
 /// The blocking lock manager.
@@ -57,14 +66,10 @@ impl NativeLockManager {
         let _span = islands_obs::enter(islands_obs::BreakdownCategory::Locking);
         #[cfg(feature = "lockcheck")]
         self.order.on_request(txn, id);
-        let decision = {
-            let mut t = self.table.lock();
-            t.acquire(txn, id, mode)
-        };
-        let granted = match decision {
-            Acquire::Granted => Ok(()),
-            Acquire::Die => Err(StorageError::Deadlock(txn)),
-            Acquire::Wait => self.wait(txn, id),
+        let granted = match self.request(txn, id, mode) {
+            Request::Granted => Ok(()),
+            Request::Die => Err(StorageError::Deadlock(txn)),
+            Request::Wait(cell) => self.wait(txn, id, &cell),
         };
         #[cfg(feature = "lockcheck")]
         if granted.is_ok() {
@@ -73,38 +78,51 @@ impl NativeLockManager {
         granted
     }
 
-    fn wait(&self, txn: TxnId, id: LockId) -> Result<()> {
-        let cell = Arc::new(WaitCell::default());
-        self.cells.lock().insert(txn, Arc::clone(&cell));
+    /// Ask the table for `id`. A `Wait` registers the waiter's cell while
+    /// the table mutex is still held: a holder releasing right after the
+    /// mutex drops promotes the waiter in the table, and its wakeup must
+    /// find the cell, or the waiter sleeps out the whole timeout for a lock
+    /// the table says it holds.
+    fn request(&self, txn: TxnId, id: LockId, mode: LockMode) -> Request {
+        let mut t = self.table.lock();
+        match t.acquire(txn, id, mode) {
+            Acquire::Granted => Request::Granted,
+            Acquire::Die => Request::Die,
+            Acquire::Wait => {
+                let cell = Arc::new(WaitCell::default());
+                self.cells.lock().insert(txn, Arc::clone(&cell));
+                Request::Wait(cell)
+            }
+        }
+    }
+
+    /// Park on `cell` until a release grants the lock or the timeout fires.
+    fn wait(&self, txn: TxnId, id: LockId, cell: &WaitCell) -> Result<()> {
         let mut st = cell.state.lock();
-        while *st == WaitState::Waiting {
-            if self.cv_wait(&cell, &mut st) {
+        let granted = loop {
+            if *st == WaitState::Granted {
+                drop(st); // never hold a cell's state while taking `cells`
+                break true;
+            }
+            if self.cv_wait(cell, &mut st) {
                 continue; // woken (or spurious); loop re-checks
             }
-            // Timed out: resolve the race against a concurrent grant under
-            // the table lock.
+            // Timed out: settle the race against a concurrent grant under
+            // the table lock. A request no longer queued was granted.
             drop(st);
             let mut t = self.table.lock();
             let still_waiting = t.cancel_wait(txn, id);
             let woken = t.take_deferred_wakeups();
             drop(t);
             self.wake(&woken);
-            st = cell.state.lock();
-            if *st == WaitState::Granted {
-                break; // granted at the last moment
-            }
-            if still_waiting {
-                self.cells.lock().remove(&txn);
-                return Err(StorageError::LockTimeout(txn));
-            }
-            // Not waiting and not granted should be impossible, but treat it
-            // as a timeout rather than hang.
-            self.cells.lock().remove(&txn);
-            return Err(StorageError::LockTimeout(txn));
-        }
-        drop(st);
+            break !still_waiting;
+        };
         self.cells.lock().remove(&txn);
-        Ok(())
+        if granted {
+            Ok(())
+        } else {
+            Err(StorageError::LockTimeout(txn))
+        }
     }
 
     /// Returns `true` if woken before the timeout.
@@ -207,6 +225,29 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(50));
         // The cancelled wait must not corrupt the queue.
         m.unlock_all(TxnId(10));
+        m.lock(TxnId(2), id, LockMode::X).unwrap();
+    }
+
+    #[test]
+    fn release_between_queueing_and_parking_still_wakes_the_waiter() {
+        // The interleaving that used to lose the wakeup, forced step by
+        // step: the waiter is queued, the holder releases before the
+        // waiter parks, and only then does the waiter park.
+        let m = Arc::new(NativeLockManager::new(Duration::from_secs(10)));
+        let id = LockId::Key(T, 7);
+        m.lock(TxnId(10), id, LockMode::X).unwrap();
+        let Request::Wait(cell) = m.request(TxnId(1), id, LockMode::X) else {
+            panic!("the older requester must queue behind the holder");
+        };
+        m.unlock_all(TxnId(10));
+        assert!(m.holds(TxnId(1), id, LockMode::X), "the table granted it");
+        let start = std::time::Instant::now();
+        m.wait(TxnId(1), id, &cell).unwrap();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "the grant's wakeup was lost: the waiter slept out its timeout"
+        );
+        m.unlock_all(TxnId(1));
         m.lock(TxnId(2), id, LockMode::X).unwrap();
     }
 

@@ -1,16 +1,20 @@
 //! `lockcheck` — a dynamic race detector for partitioned execution
 //! (compiled only with `--features lockcheck`; zero cost otherwise).
 //!
-//! The serial engine's safety argument is *ownership*: one partition is
-//! touched by exactly one executor thread, and one key lives in exactly one
-//! partition. Both halves are conventions the type system cannot see — a
-//! routing bug that lands a key on two instances, or a stray thread calling
-//! into a `single_threaded` instance, silently corrupts data instead of
-//! failing. This module turns those conventions into checked invariants:
+//! The serial engine's safety argument is *exclusive access*: one partition
+//! is inside at most one thread at a time (the executor's partition mutex),
+//! and one key lives in exactly one partition. Both halves are conventions
+//! the type system cannot see — a routing bug that lands a key on two
+//! instances, or a thread calling into a `single_threaded` instance without
+//! holding the partition, silently corrupts data instead of failing. This
+//! module turns those conventions into checked invariants:
 //!
-//! * **Thread ownership** — the first transactional access to a
-//!   `single_threaded` instance records the owning thread; any later access
-//!   from a different thread panics.
+//! * **Exclusive access** — a transaction's first key access to a
+//!   `single_threaded` instance makes its thread the instance's occupant
+//!   until that transaction finishes or prepares (a parked 2PC branch holds
+//!   no thread). A key access from any other thread while the instance is
+//!   occupied panics. Threads may take turns: sequential transactions from
+//!   different threads are clean.
 //! * **Partition ownership** — instances registered into a shared [`Scope`]
 //!   record the first instance to touch each key; a different instance
 //!   touching the same key panics (a mis-routed request).
@@ -56,7 +60,8 @@ impl Scope {
 #[derive(Debug)]
 pub(crate) struct InstanceCheck {
     id: u64,
-    owner_thread: Mutex<Option<ThreadId>>,
+    /// The thread inside the instance and the transaction that entered it.
+    occupant: Mutex<Option<(ThreadId, TxnId)>>,
     scope: Mutex<Option<Arc<Scope>>>,
 }
 
@@ -64,7 +69,7 @@ impl InstanceCheck {
     pub(crate) fn new() -> InstanceCheck {
         InstanceCheck {
             id: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
-            owner_thread: Mutex::new(None),
+            occupant: Mutex::new(None),
             scope: Mutex::new(None),
         }
     }
@@ -74,16 +79,16 @@ impl InstanceCheck {
     }
 
     /// Called on every transactional key access (read/update/insert).
-    pub(crate) fn on_access(&self, single_threaded: bool, key: u64) {
+    pub(crate) fn on_access(&self, single_threaded: bool, txn: TxnId, key: u64) {
         if single_threaded {
             let me = thread::current().id();
-            let mut owner = self.owner_thread.lock();
-            match *owner {
-                None => *owner = Some(me),
-                Some(o) if o == me => {}
-                Some(o) => panic!(
-                    "lockcheck: cross-thread access to single-threaded instance {}: \
-                     key {key} touched from {me:?} but the instance is owned by {o:?}",
+            let mut occupant = self.occupant.lock();
+            match *occupant {
+                None => *occupant = Some((me, txn)),
+                Some((t, _)) if t == me => {}
+                Some((t, inside)) => panic!(
+                    "lockcheck: concurrent access to single-threaded instance {}: \
+                     {txn} touched key {key} from {me:?} while {inside} is inside on {t:?}",
                     self.id
                 ),
             }
@@ -99,6 +104,15 @@ impl InstanceCheck {
                     self.id
                 );
             }
+        }
+    }
+
+    /// `txn` finished or prepared: if it made its thread the occupant, the
+    /// instance is free for the next thread.
+    pub(crate) fn on_leave(&self, txn: TxnId) {
+        let mut occupant = self.occupant.lock();
+        if matches!(*occupant, Some((_, inside)) if inside == txn) {
+            *occupant = None;
         }
     }
 }
@@ -190,8 +204,8 @@ mod tests {
         let a = InstanceCheck::new();
         let scope = Scope::new();
         a.set_scope(Arc::clone(&scope));
-        a.on_access(false, 42);
-        a.on_access(false, 42); // same instance: fine
+        a.on_access(false, TxnId(1), 42);
+        a.on_access(false, TxnId(1), 42); // same instance: fine
         assert_eq!(scope.owners.lock().len(), 1);
     }
 
@@ -203,16 +217,42 @@ mod tests {
         let scope = Scope::new();
         a.set_scope(Arc::clone(&scope));
         b.set_scope(Arc::clone(&scope));
-        a.on_access(false, 42);
-        b.on_access(false, 42);
+        a.on_access(false, TxnId(1), 42);
+        b.on_access(false, TxnId(2), 42);
     }
 
     #[test]
     fn unscoped_instances_skip_partition_checks() {
         let a = InstanceCheck::new();
         let b = InstanceCheck::new();
-        a.on_access(false, 42);
-        b.on_access(false, 42); // no shared scope: not an error
+        a.on_access(false, TxnId(1), 42);
+        b.on_access(false, TxnId(2), 42); // no shared scope: not an error
+    }
+
+    #[test]
+    fn threads_taking_turns_are_clean() {
+        let a = InstanceCheck::new();
+        a.on_access(true, TxnId(1), 1);
+        a.on_leave(TxnId(1));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                a.on_access(true, TxnId(2), 1);
+                a.on_leave(TxnId(2));
+            });
+        });
+        a.on_access(true, TxnId(3), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "lockcheck: concurrent access")]
+    fn a_second_thread_inside_panics() {
+        let a = InstanceCheck::new();
+        a.on_access(true, TxnId(1), 1);
+        std::thread::scope(|s| {
+            if let Err(panic) = s.spawn(|| a.on_access(true, TxnId(2), 2)).join() {
+                std::panic::resume_unwind(panic);
+            }
+        });
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! The pure group-commit log buffer.
 //!
-//! Both drivers — the native flusher thread and the simulated log task —
-//! share this object and therefore the exact same batching policy:
-//! a flush is due when the buffer holds at least `flush_threshold` bytes
-//! *or* a committer has been waiting longer than the group window (the
-//! driver owns the clock, so the window lives in the driver).
+//! Appends return LSNs; a flush cuts everything pending into one batch for
+//! the device and durability advances when the write completes. When a
+//! flush happens is up to the log manager (the native
+//! [`LogManager`](crate::wal::LogManager) flushes when a committer needs
+//! durability or the buffer crosses `flush_threshold`). The buffer keeps
+//! two allocations and swaps them: the spent batch handed back through
+//! [`LogBuffer::recycle`] becomes the next fill buffer, so steady-state
+//! flushing allocates nothing.
 
 use crate::wal::record::{self, LogPayload};
 use crate::{Lsn, TxnId};
@@ -13,6 +16,8 @@ use crate::{Lsn, TxnId};
 #[derive(Debug)]
 pub struct LogBuffer {
     buf: Vec<u8>,
+    /// The spent batch allocation, reused as the next `buf`.
+    spare: Vec<u8>,
     /// LSN of `buf[0]`.
     base_lsn: Lsn,
     durable_lsn: Lsn,
@@ -34,6 +39,7 @@ impl LogBuffer {
     pub fn new_at(flush_threshold: usize, base_lsn: Lsn) -> Self {
         LogBuffer {
             buf: Vec::with_capacity(flush_threshold * 2),
+            spare: Vec::new(),
             base_lsn,
             durable_lsn: base_lsn,
             flush_threshold,
@@ -76,13 +82,13 @@ impl LogBuffer {
     /// Cut a batch for the device: returns `(batch_base_lsn, bytes)`, or
     /// `None` if nothing is pending. New appends continue at the correct
     /// LSN immediately; call [`LogBuffer::mark_durable`] once the device
-    /// write completes.
+    /// write completes, then hand the batch back to [`LogBuffer::recycle`].
     pub fn take_batch(&mut self) -> Option<(Lsn, Vec<u8>)> {
         if self.buf.is_empty() {
             return None;
         }
         let base = self.base_lsn;
-        let bytes = std::mem::take(&mut self.buf);
+        let bytes = std::mem::replace(&mut self.buf, std::mem::take(&mut self.spare));
         self.base_lsn = base + bytes.len() as u64;
         self.flushes += 1;
         Some((base, bytes))
@@ -92,6 +98,15 @@ impl LogBuffer {
     pub fn mark_durable(&mut self, upto: Lsn) {
         debug_assert!(upto <= self.base_lsn, "durable beyond taken batches");
         self.durable_lsn = self.durable_lsn.max(upto);
+    }
+
+    /// Return a written batch's allocation for reuse by a later
+    /// [`take_batch`](Self::take_batch).
+    pub fn recycle(&mut self, mut batch: Vec<u8>) {
+        batch.clear();
+        if batch.capacity() > self.spare.capacity() {
+            self.spare = batch;
+        }
     }
 
     /// `(bytes appended, flush batches cut)`.
@@ -142,6 +157,29 @@ mod tests {
         lb.append(TxnId(1), &LogPayload::Begin);
         lb.append(TxnId(1), &LogPayload::Begin);
         assert!(lb.should_flush());
+    }
+
+    #[test]
+    fn recycled_batches_keep_their_capacity() {
+        let mut lb = LogBuffer::new(64);
+        lb.append(TxnId(1), &LogPayload::Commit);
+        let (_, first) = lb.take_batch().unwrap();
+        let (ptr, cap) = (first.as_ptr(), first.capacity());
+        assert!(cap >= 128, "the first batch is the preallocated buffer");
+        lb.recycle(first);
+        // The next fill buffer is the spare (empty); the one after that is
+        // the recycled allocation itself.
+        lb.append(TxnId(2), &LogPayload::Commit);
+        let (_, second) = lb.take_batch().unwrap();
+        lb.recycle(second);
+        lb.append(TxnId(3), &LogPayload::Commit);
+        let (_, third) = lb.take_batch().unwrap();
+        assert_eq!(third.as_ptr(), ptr, "the spent batch was reused");
+        assert_eq!(third.capacity(), cap);
+        assert_eq!(
+            lb.end_lsn(),
+            3 * record::encoded_len(&LogPayload::Commit) as u64
+        );
     }
 
     #[test]

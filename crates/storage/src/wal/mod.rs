@@ -8,10 +8,9 @@
 //! * [`record`] — log record encoding, including the 2PC `Prepare` /
 //!   `Decision` records distributed transactions force to disk.
 //! * [`buffer`] — the pure group-commit buffer: appends return LSNs,
-//!   batches are cut for the flusher, durability advances on completion.
-//!   Shared by the native manager and the simulated log task.
-//! * [`native`] — [`native::LogManager`]: background flusher thread over a
-//!   [`native::LogDevice`] with a group-commit window.
+//!   batches are cut for a flush, durability advances on completion.
+//! * [`native`] — [`native::LogManager`]: leader/follower flushing over a
+//!   [`native::LogDevice`], on the committers' own threads.
 //! * [`recovery`] — log analysis and logical redo, including in-doubt
 //!   (prepared) transaction reporting for 2PC recovery.
 

@@ -1,4 +1,4 @@
-//! Native log manager: group-commit flusher thread over a log device.
+//! Native log manager: leader/follower flushing over a log device.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -6,9 +6,9 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::error::Result;
+use crate::error::{Result, StorageError};
 use crate::wal::buffer::LogBuffer;
 use crate::wal::record::LogPayload;
 use crate::{Lsn, TxnId};
@@ -19,16 +19,34 @@ pub trait LogDevice: Send + Sync {
     fn sync(&self) -> Result<()>;
     /// Entire log contents (recovery).
     fn read_all(&self) -> Result<Vec<u8>>;
+    /// Bytes appended over the device's lifetime (the end LSN a reopened
+    /// log continues from).
     fn len(&self) -> u64;
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
 
-/// Memory-backed log device (the paper's memory-mapped log disk).
+/// Bytes a [`MemLogDevice`] retains before it wraps.
+pub const MEM_LOG_CAPACITY: usize = 8 << 20;
+
+/// Memory-backed log device (the paper's memory-mapped log disk): a ring of
+/// the last [`MEM_LOG_CAPACITY`] bytes. Served deployments never read a
+/// memory log back (restart replays file WALs only), so keeping every byte
+/// would only grow the process; tests that do recover from memory stay far
+/// below the capacity, and a wrapped log refuses to be read rather than
+/// handing recovery a truncated stream.
 #[derive(Default)]
 pub struct MemLogDevice {
-    data: Mutex<Vec<u8>>,
+    ring: Mutex<Ring>,
+}
+
+#[derive(Default)]
+struct Ring {
+    /// Grows to [`MEM_LOG_CAPACITY`], then is overwritten in place.
+    bytes: Vec<u8>,
+    /// Bytes ever appended.
+    total: u64,
 }
 
 impl MemLogDevice {
@@ -38,18 +56,36 @@ impl MemLogDevice {
 }
 
 impl LogDevice for MemLogDevice {
-    fn append(&self, bytes: &[u8]) -> Result<()> {
-        self.data.lock().extend_from_slice(bytes);
+    fn append(&self, mut bytes: &[u8]) -> Result<()> {
+        let mut ring = self.ring.lock();
+        while !bytes.is_empty() {
+            let pos = (ring.total % MEM_LOG_CAPACITY as u64) as usize;
+            let n = bytes.len().min(MEM_LOG_CAPACITY - pos);
+            if pos == ring.bytes.len() {
+                ring.bytes.extend_from_slice(&bytes[..n]);
+            } else {
+                ring.bytes[pos..pos + n].copy_from_slice(&bytes[..n]);
+            }
+            ring.total += n as u64;
+            bytes = &bytes[n..];
+        }
         Ok(())
     }
     fn sync(&self) -> Result<()> {
         Ok(())
     }
     fn read_all(&self) -> Result<Vec<u8>> {
-        Ok(self.data.lock().clone())
+        let ring = self.ring.lock();
+        if ring.total > MEM_LOG_CAPACITY as u64 {
+            return Err(StorageError::LogWrapped {
+                appended: ring.total,
+                capacity: MEM_LOG_CAPACITY as u64,
+            });
+        }
+        Ok(ring.bytes.clone())
     }
     fn len(&self) -> u64 {
-        self.data.lock().len() as u64
+        self.ring.lock().total
     }
 }
 
@@ -90,186 +126,139 @@ impl LogDevice for FileLogDevice {
     }
 }
 
-struct Shared {
-    buf: Mutex<LogState>,
-    /// Wakes the flusher (new work / shutdown).
-    flush_cv: Condvar,
-    /// Wakes committers when `durable_lsn` advances.
-    durable_cv: Condvar,
-}
-
 struct LogState {
     buffer: LogBuffer,
-    shutdown: bool,
+    /// A leader is writing a batch to the device (outside this lock).
+    flushing: bool,
+    /// Committers parked on `flushed` (a flush with none skips the wake,
+    /// which is a syscall even with nobody to wake).
+    followers: usize,
 }
 
-/// Group-commit log manager.
+/// Group-commit log manager with leader/follower flushing (cf. Aether,
+/// Johnson et al., VLDB 2010).
 ///
-/// `append` is cheap (memcpy into the buffer); `commit_durable` blocks the
-/// caller until the flusher has pushed its LSN to the device. The flusher
-/// batches everything that arrives within `group_window`, giving the
-/// many-committers-one-flush behavior of Aether-style group commit.
-///
-/// A **zero** `group_window` selects synchronous mode instead: no flusher
-/// thread is spawned and `commit_durable` flushes on the calling thread,
-/// under the buffer lock. Group commit exists to share one flush among
-/// concurrent committers; an instance with a single committer (the serial
-/// partition executor) would pay the flusher handoff — two thread wakes
-/// per commit — for a group of one, so it skips the thread entirely.
+/// `append` is cheap (memcpy into the buffer). `commit_durable` makes the
+/// caller's LSN durable on the caller's own thread: a committer that finds
+/// no flush in progress becomes the *leader*, cuts everything pending into
+/// one batch, and writes and syncs it with the buffer lock released.
+/// Committers arriving meanwhile append and wait as *followers*; the first
+/// of them to wake after the flush leads the next one, carrying every
+/// record that piled up during the device write. Batching therefore comes
+/// from device latency alone: a fast device flushes one commit at a time,
+/// a slow one groups as many as arrive during a sync, and no thread is
+/// ever handed the work.
 pub struct LogManager {
-    shared: Arc<Shared>,
+    state: Mutex<LogState>,
+    /// Wakes followers when a flush completes.
+    flushed: Condvar,
     device: Arc<dyn LogDevice>,
-    flusher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl LogManager {
+    /// `_group_window` is accepted and ignored: leaders never wait for
+    /// followers. It remains only for callers that still pass
+    /// `InstanceOptions::group_window`.
     pub fn new(
         device: Arc<dyn LogDevice>,
         flush_threshold: usize,
-        group_window: Duration,
+        _group_window: Duration,
     ) -> Arc<Self> {
         // Continue the LSN stream where the device left off: reopening a
         // non-empty WAL file (restart) appends at its current length, so
         // byte-offset LSNs stay aligned with record positions. A fresh
         // device starts at 0 as before.
         let base_lsn = device.len();
-        let shared = Arc::new(Shared {
-            buf: Mutex::new(LogState {
-                buffer: LogBuffer::new_at(flush_threshold, base_lsn),
-                shutdown: false,
-            }),
-            flush_cv: Condvar::new(),
-            durable_cv: Condvar::new(),
-        });
-        let flusher = if group_window.is_zero() {
-            None
-        } else {
-            let shared = Arc::clone(&shared);
-            let device = Arc::clone(&device);
-            Some(
-                std::thread::Builder::new()
-                    .name("wal-flusher".into())
-                    .spawn(move || flusher_loop(shared, device, group_window))
-                    .expect("spawn flusher"),
-            )
-        };
         Arc::new(LogManager {
-            shared,
+            state: Mutex::new(LogState {
+                buffer: LogBuffer::new_at(flush_threshold, base_lsn),
+                flushing: false,
+                followers: 0,
+            }),
+            flushed: Condvar::new(),
             device,
-            flusher,
         })
     }
 
     /// Append a record; returns the LSN to pass to
-    /// [`LogManager::commit_durable`] for a forced write.
+    /// [`LogManager::commit_durable`] for a forced write. An append that
+    /// fills the buffer past its flush threshold leads a flush itself
+    /// unless one is already running.
     pub fn append(&self, txn: TxnId, payload: &LogPayload) -> Lsn {
         let _span = islands_obs::enter(islands_obs::BreakdownCategory::Logging);
-        let mut st = self.shared.buf.lock();
+        let mut st = self.state.lock();
         let lsn = st.buffer.append(txn, payload);
-        if st.buffer.should_flush() {
-            self.shared.flush_cv.notify_one();
+        if st.buffer.should_flush() && !st.flushing {
+            drop(self.lead_flush(st));
         }
         lsn
     }
 
-    /// Block until `lsn` is durable on the device.
+    /// Block until `lsn` is durable on the device, leading flushes as
+    /// needed.
     pub fn commit_durable(&self, lsn: Lsn) {
         let _span = islands_obs::enter(islands_obs::BreakdownCategory::Logging);
-        let mut st = self.shared.buf.lock();
-        if self.flusher.is_none() {
-            // Synchronous mode: flush on this thread, device I/O under the
-            // buffer lock. Concurrent committers serialize here, which is
-            // exactly the single-committer contract that selected the mode.
-            self.flush_locked(&mut st);
-            debug_assert!(st.buffer.is_durable(lsn), "flush must cover our lsn");
-            return;
-        }
+        let mut st = self.state.lock();
         while !st.buffer.is_durable(lsn) {
-            self.shared.flush_cv.notify_one();
-            self.shared.durable_cv.wait(&mut st);
+            if st.flushing {
+                st.followers += 1;
+                self.flushed.wait(&mut st);
+                st.followers -= 1;
+            } else {
+                st = self.lead_flush(st);
+            }
         }
     }
 
-    /// Flush everything pending, holding the buffer lock across the device
-    /// I/O (synchronous mode only — nothing else ever takes a batch there).
-    fn flush_locked(&self, st: &mut LogState) {
-        if let Some((base, bytes)) = st.buffer.take_batch() {
-            let _ = self.device.append(&bytes);
+    /// Lead one flush: cut everything pending, write and sync it with the
+    /// buffer lock released, then publish the new durable LSN and wake the
+    /// followers. Takes the lock from a caller that saw no flush running
+    /// and hands it back reacquired.
+    fn lead_flush<'a>(&'a self, mut st: MutexGuard<'a, LogState>) -> MutexGuard<'a, LogState> {
+        debug_assert!(!st.flushing, "one leader at a time");
+        st.flushing = true;
+        if let Some((base, batch)) = st.buffer.take_batch() {
+            drop(st);
+            let _ = self.device.append(&batch);
             let _ = self.device.sync();
-            st.buffer.mark_durable(base + bytes.len() as u64);
+            st = self.state.lock();
+            st.buffer.mark_durable(base + batch.len() as u64);
+            st.buffer.recycle(batch);
         }
+        st.flushing = false;
+        if st.followers > 0 {
+            self.flushed.notify_all();
+        }
+        st
     }
 
     pub fn durable_lsn(&self) -> Lsn {
-        self.shared.buf.lock().buffer.durable_lsn()
+        self.state.lock().buffer.durable_lsn()
     }
 
     pub fn end_lsn(&self) -> Lsn {
-        self.shared.buf.lock().buffer.end_lsn()
+        self.state.lock().buffer.end_lsn()
     }
 
     /// `(bytes appended, flush batches)`.
     pub fn stats(&self) -> (u64, u64) {
-        self.shared.buf.lock().buffer.stats()
+        self.state.lock().buffer.stats()
     }
 
     pub fn device(&self) -> &Arc<dyn LogDevice> {
         &self.device
     }
 
-    /// Flush everything and stop the flusher (also done on drop).
+    /// Make everything appended so far durable (also done on drop).
     pub fn shutdown(&self) {
-        {
-            let mut st = self.shared.buf.lock();
-            st.shutdown = true;
-            if self.flusher.is_none() {
-                // Synchronous mode has no flusher to hand the tail to.
-                self.flush_locked(&mut st);
-            }
-        }
-        self.shared.flush_cv.notify_all();
+        let end = self.end_lsn();
+        self.commit_durable(end);
     }
 }
 
 impl Drop for LogManager {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(h) = self.flusher.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn flusher_loop(shared: Arc<Shared>, device: Arc<dyn LogDevice>, group_window: Duration) {
-    loop {
-        let batch = {
-            let mut st = shared.buf.lock();
-            loop {
-                if st.buffer.pending_bytes() == 0 {
-                    if st.shutdown {
-                        return;
-                    }
-                    shared.flush_cv.wait(&mut st);
-                    continue;
-                }
-                // Group window: absorb committers arriving right behind the
-                // first one, unless the batch is already large or we're
-                // shutting down.
-                if !st.buffer.should_flush() && !st.shutdown {
-                    let _ = shared.flush_cv.wait_for(&mut st, group_window);
-                }
-                break st.buffer.take_batch();
-            }
-        };
-        if let Some((base, bytes)) = batch {
-            let upto = base + bytes.len() as u64;
-            // Device I/O happens outside the buffer lock: appends continue.
-            let _ = device.append(&bytes);
-            let _ = device.sync();
-            let mut st = shared.buf.lock();
-            st.buffer.mark_durable(upto);
-            shared.durable_cv.notify_all();
-        }
     }
 }
 
@@ -278,15 +267,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zero_window_flushes_synchronously_without_a_flusher() {
+    fn committers_flush_on_their_own_thread() {
         let dev = MemLogDevice::new();
         let lm = LogManager::new(dev.clone(), 1 << 16, Duration::ZERO);
-        assert!(lm.flusher.is_none(), "synchronous mode spawns no thread");
         for i in 1..=50u64 {
             let lsn = lm.append(TxnId(i), &LogPayload::Commit);
             lm.commit_durable(lsn);
             assert!(lm.durable_lsn() >= lsn, "commit {i} must be durable");
         }
+        assert_eq!(lm.stats().1, 50, "a lone committer flushes once per commit");
         // The tail written after the last force still lands via shutdown.
         let tail = lm.append(TxnId(99), &LogPayload::Abort);
         lm.shutdown();
@@ -297,43 +286,141 @@ mod tests {
     #[test]
     fn commit_durable_round_trip() {
         let dev = MemLogDevice::new();
-        let lm = LogManager::new(dev.clone(), 1 << 16, Duration::from_millis(1));
+        let lm = LogManager::new(dev.clone(), 1 << 16, Duration::ZERO);
         let lsn = lm.append(TxnId(1), &LogPayload::Commit);
         lm.commit_durable(lsn);
         assert!(lm.durable_lsn() >= lsn);
         assert_eq!(dev.len(), lsn);
     }
 
-    #[test]
-    fn group_commit_batches_concurrent_committers() {
-        let dev = MemLogDevice::new();
-        let lm = LogManager::new(dev, 1 << 20, Duration::from_millis(5));
-        let mut handles = Vec::new();
-        for i in 0..8u64 {
-            let lm = Arc::clone(&lm);
-            handles.push(std::thread::spawn(move || {
-                for j in 0..20u64 {
-                    let lsn = lm.append(TxnId(i * 100 + j), &LogPayload::Commit);
-                    lm.commit_durable(lsn);
-                }
-            }));
+    /// A memory device whose `sync` takes a millisecond, like a real disk.
+    #[derive(Default)]
+    struct SlowSyncDevice {
+        inner: MemLogDevice,
+        syncs: std::sync::atomic::AtomicU64,
+    }
+
+    impl LogDevice for SlowSyncDevice {
+        fn append(&self, bytes: &[u8]) -> Result<()> {
+            self.inner.append(bytes)
         }
+        fn sync(&self) -> Result<()> {
+            self.syncs
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(1));
+            Ok(())
+        }
+        fn read_all(&self) -> Result<Vec<u8>> {
+            self.inner.read_all()
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn followers_ride_the_next_flush_of_a_slow_device() {
+        let dev = Arc::new(SlowSyncDevice::default());
+        let lm = LogManager::new(dev.clone(), 1 << 20, Duration::ZERO);
+        let (threads, per_thread) = (8u64, 25u64);
+        let handles: Vec<_> = (0..threads)
+            .map(|i| {
+                let lm = Arc::clone(&lm);
+                std::thread::spawn(move || {
+                    for j in 0..per_thread {
+                        let lsn = lm.append(TxnId(i * 1000 + j), &LogPayload::Commit);
+                        lm.commit_durable(lsn);
+                        assert!(lm.durable_lsn() >= lsn, "returned before durable");
+                    }
+                })
+            })
+            .collect();
         for h in handles {
             h.join().unwrap();
         }
+        let commits = threads * per_thread;
         let (bytes, flushes) = lm.stats();
-        assert!(bytes > 0);
-        assert!(
-            flushes < 160,
-            "group commit must batch: {flushes} flushes for 160 commits"
+        assert_eq!(dev.len(), bytes, "every appended byte reached the device");
+        assert_eq!(
+            dev.syncs.load(std::sync::atomic::Ordering::Relaxed),
+            flushes
         );
+        // Committers that arrive during a 1 ms sync share the next one, so
+        // the flush count tracks elapsed syncs, not commits.
+        assert!(
+            flushes * 2 <= commits,
+            "{flushes} flushes for {commits} commits: followers did not batch"
+        );
+    }
+
+    #[test]
+    fn no_flusher_thread_is_spawned() {
+        let lm = LogManager::new(MemLogDevice::new(), 64, Duration::ZERO);
+        for i in 0..10u64 {
+            let lsn = lm.append(TxnId(i), &LogPayload::Commit);
+            lm.commit_durable(lsn);
+        }
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return; // not Linux: nothing to inspect
+        };
+        for task in tasks.flatten() {
+            let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+            assert_ne!(comm.trim(), "wal-flusher", "a flusher thread exists");
+        }
+    }
+
+    #[test]
+    fn append_past_the_threshold_flushes_without_a_committer() {
+        let dev = MemLogDevice::new();
+        let lm = LogManager::new(dev.clone(), 32, Duration::ZERO);
+        let mut lsn = 0;
+        for i in 0..4u64 {
+            lsn = lm.append(TxnId(i), &LogPayload::Begin);
+        }
+        assert!(lm.stats().1 >= 1, "crossing the threshold leads a flush");
+        assert!(dev.len() >= 32);
+        lm.commit_durable(lsn);
+        assert_eq!(dev.len(), lsn);
+    }
+
+    #[test]
+    fn memory_ring_wraps_and_refuses_to_read_back() {
+        let dev = MemLogDevice::new();
+        dev.append(b"head").unwrap();
+        assert_eq!(dev.read_all().unwrap(), b"head");
+        // Fill the ring exactly: still readable, nothing lost yet.
+        let fill = vec![7u8; MEM_LOG_CAPACITY - 4];
+        dev.append(&fill).unwrap();
+        assert_eq!(dev.len(), MEM_LOG_CAPACITY as u64);
+        assert_eq!(dev.read_all().unwrap().len(), MEM_LOG_CAPACITY);
+        // One more append overwrites the head in place.
+        dev.append(b"tail!").unwrap();
+        assert_eq!(
+            dev.len(),
+            MEM_LOG_CAPACITY as u64 + 5,
+            "len counts every byte"
+        );
+        assert_eq!(dev.ring.lock().bytes.len(), MEM_LOG_CAPACITY, "bounded");
+        assert_eq!(&dev.ring.lock().bytes[..5], b"tail!");
+        assert!(matches!(
+            dev.read_all(),
+            Err(StorageError::LogWrapped { appended, capacity })
+                if appended == MEM_LOG_CAPACITY as u64 + 5
+                    && capacity == MEM_LOG_CAPACITY as u64
+        ));
+        // A manager reopened over the wrapped device continues its LSNs.
+        let lm = LogManager::new(dev.clone(), 64, Duration::ZERO);
+        assert_eq!(lm.end_lsn(), dev.len());
+        let lsn = lm.append(TxnId(1), &LogPayload::Commit);
+        lm.commit_durable(lsn);
+        assert_eq!(dev.len(), lsn);
     }
 
     #[test]
     fn shutdown_flushes_residue() {
         let dev = MemLogDevice::new();
         {
-            let lm = LogManager::new(dev.clone(), 1 << 20, Duration::from_millis(50));
+            let lm = LogManager::new(dev.clone(), 1 << 20, Duration::ZERO);
             lm.append(TxnId(1), &LogPayload::Begin);
             lm.append(TxnId(1), &LogPayload::Commit);
             // Dropped without commit_durable.
@@ -382,7 +469,7 @@ mod tests {
         let lsn;
         {
             let dev = FileLogDevice::open(&path).unwrap();
-            let lm = LogManager::new(dev, 64, Duration::from_millis(1));
+            let lm = LogManager::new(dev, 64, Duration::ZERO);
             lsn = lm.append(TxnId(3), &LogPayload::Prepare { gtid: 9 });
             lm.commit_durable(lsn);
         }

@@ -39,10 +39,10 @@ fn single_owner_flows_are_clean() {
 }
 
 #[test]
-#[should_panic(expected = "lockcheck: cross-thread access")]
-fn cross_thread_access_to_single_threaded_instance_panics() {
+fn threads_taking_turns_on_a_single_threaded_instance_are_clean() {
+    // The serial engine runs each call on the calling session's thread
+    // under the partition mutex: many threads, one at a time.
     let inst = fresh(true);
-    // A helper thread takes ownership of the instance...
     let other = Arc::clone(&inst);
     std::thread::spawn(move || {
         let mut txn = other.begin();
@@ -51,9 +51,34 @@ fn cross_thread_access_to_single_threaded_instance_panics() {
     })
     .join()
     .unwrap();
-    // ...so this access from the test thread is the race.
     let mut txn = inst.begin();
-    let _ = txn.read("a", 2);
+    assert!(txn.read("a", 1).unwrap().is_some());
+    txn.commit().unwrap();
+}
+
+#[test]
+#[should_panic(expected = "lockcheck: concurrent access")]
+fn concurrent_access_to_single_threaded_instance_panics() {
+    let inst = fresh(true);
+    std::thread::scope(|scope| {
+        let (entered_tx, entered) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release) = std::sync::mpsc::channel::<()>();
+        // A helper thread is inside the instance, mid-transaction...
+        let helper = &inst;
+        scope.spawn(move || {
+            let mut txn = helper.begin();
+            txn.update("a", 1, &[1u8; 16]).unwrap();
+            entered_tx.send(()).unwrap();
+            // Held open until the test thread is done; its panic drops the
+            // sender, which ends this wait.
+            let _ = release.recv();
+        });
+        entered.recv().unwrap();
+        // ...so this access from the test thread is the race.
+        let mut txn = inst.begin();
+        let _ = txn.read("a", 2);
+        drop(release_tx);
+    });
 }
 
 #[test]
